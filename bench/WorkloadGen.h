@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic generators of loop-language programs for the benchmarks:
-/// derived-IV chains (scaling), mixed-class loops (coverage), deep nests
-/// (multiloop IVs), and array-reference batteries (dependence precision).
-/// All generation is seeded and reproducible.
+/// Deterministic generators of loop-language programs for the paper-claim
+/// tests and bench_serve: derived-IV chains (scaling), mixed-class loops
+/// (coverage), deep nests (multiloop IVs), and array-reference batteries
+/// (dependence precision).  All generation is seeded and reproducible.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -18,9 +18,8 @@
 // concurrency.  Latency is measured at the client because fleet stats are
 // per-worker (see server/Fleet.h).
 //
-// Like bench_batch and bench_cache this is a plain binary; the JSON
-// fragment it writes is merged into BENCH_SCALING.json under the "serve"
-// (or, for --fleet, "serve_fleet") key by bench/run_benchmarks.sh.
+// --json=PATH writes the record as one JSON object.  `ctest -C bench -L
+// bench-smoke` runs both modes with --quick.
 //
 //===----------------------------------------------------------------------===//
 

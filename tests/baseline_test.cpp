@@ -6,8 +6,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "WorkloadGen.h"
 #include "baseline/ClassicalIV.h"
 #include "baseline/PatternMatchers.h"
+#include "ivclass/Report.h"
 
 using namespace biv;
 using namespace biv::testutil;
@@ -137,6 +139,49 @@ TEST(BaselineTest, CoverageGapVersusUnified) {
   const ivclass::Classification &W2 = A.cls("L", "w2");
   ASSERT_EQ(W2.Kind, IVKind::WrapAround);
   EXPECT_EQ(W2.WrapOrder, 2u);
+
+  // The same gap as a coverage table: on 16 groups of every class (145
+  // loop-header variables), classical + ad hoc reaches 17 + 16 while the
+  // unified algorithm classifies all 145.
+  ivclass::InductionAnalysis::Options Opts;
+  Opts.MaterializeExitValues = false;
+  Analyzed M = analyze(bench::genMixedClasses(16), /*RunSCCP=*/false, Opts);
+
+  unsigned ClassicalIVs = 0, AdHocWraps = 0, AdHocFlips = 0, HeaderPhis = 0;
+  for (const auto &ML : M.LI->loops()) {
+    ClassicalResult MCR = runClassicalIV(*ML);
+    AdHocResult MAH = runAdHocMatchers(*ML, MCR);
+    for (ir::Instruction *Phi : ML->header()->phis()) {
+      ++HeaderPhis;
+      ClassicalIVs += MCR.isIV(Phi);
+    }
+    AdHocWraps += MAH.WrapArounds;
+    AdHocFlips += MAH.FlipFlops;
+  }
+  EXPECT_EQ(HeaderPhis, 145u);
+  EXPECT_EQ(ClassicalIVs, 17u);
+  EXPECT_EQ(AdHocWraps, 16u) << "first-order wrap-arounds only";
+  EXPECT_EQ(AdHocFlips, 0u) << "the swap form is not matched";
+
+  ivclass::KindCounts KC = ivclass::countHeaderPhiKinds(*M.IA);
+  EXPECT_EQ(KC.classified(), 145u);
+  EXPECT_EQ(KC.Linear, 17u);
+  EXPECT_EQ(KC.Polynomial, 16u);
+  EXPECT_EQ(KC.Geometric, 16u);
+  EXPECT_EQ(KC.WrapAround, 32u) << "orders 1 and 2";
+  EXPECT_EQ(KC.Periodic, 48u);
+  EXPECT_EQ(KC.Monotonic, 16u);
+}
+
+TEST(BaselineTest, ClassicalIteratesToFixedPointOnChains) {
+  // The classical algorithm is iterative: even on the chain workload, where
+  // program order lets one sweep discover every derived IV, it needs a
+  // second sweep to confirm the fixed point.  The unified analysis is one
+  // pass over the SSA graph.
+  for (unsigned Stmts : {100u, 1000u}) {
+    Analyzed A = analyze(bench::genLinearChain(Stmts));
+    EXPECT_EQ(runClassicalIV(*A.loop("L1")).Passes, 2u) << Stmts;
+  }
 }
 
 TEST(BaselineTest, AgreementOnLinearIVs) {

@@ -15,6 +15,7 @@
 #include "driver/BatchAnalyzer.h"
 #include "driver/ThreadPool.h"
 #include "ivclass/Pipeline.h"
+#include "support/Stats.h"
 #include <atomic>
 #include <gtest/gtest.h>
 #include <limits>
@@ -303,6 +304,21 @@ TEST(BatchCacheTest, WarmRunIsByteIdenticalAndFullyHit) {
   EXPECT_EQ(Warm.renderText(), Cold.renderText());
   // Nothing new to cache on the second pass: every unit hit.
   EXPECT_EQ(Cache.pendingCount(), ColdEntries);
+
+  // The cache's point is skipping classification, not redoing it faster:
+  // every warm unit is a hit, and the warm run opens at most a tenth of the
+  // cold run's phase.classify spans (phase timers are not replayed).
+  static const stats::Counter HitCounter("cache.hit");
+  static const stats::Counter MissCounter("cache.miss");
+  static const stats::Timer ClassifyTimer("phase.classify");
+  uint64_t Units = Cold.MergedStats.Counters[HitCounter.index()] +
+                   Cold.MergedStats.Counters[MissCounter.index()];
+  EXPECT_EQ(Units, Sources.size());
+  EXPECT_EQ(Warm.MergedStats.Counters[HitCounter.index()], Units);
+  uint64_t ColdSpans = Cold.MergedStats.Timers[ClassifyTimer.index()].Spans;
+  EXPECT_GT(ColdSpans, 0u);
+  EXPECT_LE(Warm.MergedStats.Timers[ClassifyTimer.index()].Spans,
+            ColdSpans / 10);
 
   // And the cached result equals a cache-less analysis.
   driver::BatchOptions Plain = BO;

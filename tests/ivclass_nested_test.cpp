@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "WorkloadGen.h"
 
 using namespace biv;
 using namespace biv::testutil;
@@ -258,4 +259,26 @@ TEST(NestedIVTest, DisablingMaterializationLosesOuterIV) {
   Opts.MaterializeExitValues = false;
   Analyzed A = analyze(Fig7Src, /*RunSCCP=*/false, Opts);
   EXPECT_EQ(A.cls("L17", "k").Kind, IVKind::Unknown);
+}
+
+TEST(NestedIVTest, DepthTable) {
+  // Section 5.3's inner-to-outer processing as nests deepen: every level
+  // classifies (i and k linear per loop), every exit value materializes
+  // (depth*(depth+1)/2 of them), and the innermost k prints as a tuple
+  // nested depth levels deep.
+  struct Row {
+    unsigned Depth;
+    unsigned ExitValues;
+  };
+  const Row Rows[] = {{1, 1}, {2, 3}, {3, 6}, {4, 10}, {6, 21}, {8, 36}};
+  for (const Row &Want : Rows) {
+    SCOPED_TRACE("depth " + std::to_string(Want.Depth));
+    Analyzed A = analyze(bench::genNest(Want.Depth));
+    EXPECT_EQ(A.LI->loops().size(), Want.Depth);
+    EXPECT_EQ(A.IA->stats().LinearFamilies, 2 * Want.Depth);
+    EXPECT_EQ(A.IA->stats().ExitValuesMaterialized, Want.ExitValues);
+    if (Want.Depth == 3) {
+      EXPECT_EQ(A.tuple("L3", "k"), "(L3, (L2, (L1, 0, 16), 4), 1)");
+    }
+  }
 }

@@ -1,6 +1,7 @@
 //===- tests/ssa_test.cpp - SSA construction, SCCP, DCE unit tests ------------===//
 
 #include "TestUtil.h"
+#include "WorkloadGen.h"
 #include "ssa/DeadCode.h"
 
 using namespace biv;
@@ -101,6 +102,23 @@ TEST(SSATest, PhiNamesFollowVariables) {
   ASSERT_NE(C, nullptr);
   EXPECT_EQ(C->name().rfind("counter", 0), 0u)
       << "phi should carry the source variable's name";
+}
+
+TEST(SSATest, ChainWorkloadPlacesOnePhiPerVariable) {
+  // The substrate on the chain workload: unpruned placement puts one phi
+  // per chain variable (plus the counter) at the single loop header.
+  struct Row {
+    unsigned Stmts;
+    size_t Instrs;
+    unsigned Phis;
+  };
+  const Row Rows[] = {{100, 449, 101}, {1000, 4343, 1001}, {3000, 13024, 3001}};
+  for (const Row &Want : Rows) {
+    SCOPED_TRACE("stmts " + std::to_string(Want.Stmts));
+    auto F = frontend::parseAndLowerOrDie(bench::genLinearChain(Want.Stmts));
+    EXPECT_EQ(F->instructionCount(), Want.Instrs);
+    EXPECT_EQ(ssa::buildSSA(*F).PhisPlaced, Want.Phis);
+  }
 }
 
 //===----------------------------------------------------------------------===//

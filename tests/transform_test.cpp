@@ -8,7 +8,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "WorkloadGen.h"
 #include "dependence/DependenceAnalyzer.h"
+#include "ivclass/Pipeline.h"
 #include "transform/LoopPeel.h"
 #include "transform/StrengthReduce.h"
 
@@ -296,6 +298,83 @@ TEST(StrengthReduceTest, NestedLoopsReduceInnermost) {
   EXPECT_GE(S.Reduced, 2u);
   ssa::verifySSAOrDie(*A.F);
   expectSameBehaviour(*Ref, *A.F, {0});
+}
+
+//===----------------------------------------------------------------------===//
+// Ablation tables: each transformation's payoff at several sizes
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One loop carrying \p Chains independent wrap-around reads.
+std::string wrapHeavySource(unsigned Chains) {
+  std::string Init, Body;
+  for (unsigned K = 0; K < Chains; ++K) {
+    std::string W = "w" + std::to_string(K);
+    Init += "  " + W + " = 90;\n";
+    Body += "    A" + std::to_string(K) + "[i] = A" + std::to_string(K) +
+            "[" + W + "] + 1;\n    " + W + " = i;\n";
+  }
+  return "func f(n) {\n" + Init + "  for L: i = 1 to 50 {\n" + Body +
+         "  }\n  return 0;\n}\n";
+}
+
+/// Dependences flagged "holds after k iterations".
+unsigned wrapFlagged(const Analyzed &A) {
+  dependence::DependenceAnalyzer DA(*A.IA);
+  unsigned N = 0;
+  for (const dependence::Dependence &D : DA.analyze())
+    N += D.Result.ValidAfterIterations > 0;
+  return N;
+}
+
+/// Multiplications executed by one run of \p F with n = 64.
+uint64_t dynamicMuls(const ir::Function &F) {
+  interp::ExecOptions EO;
+  EO.MaxSteps = 64u << 20;
+  interp::ExecutionTrace T = interp::run(F, {64}, EO);
+  EXPECT_TRUE(T.ok()) << T.Error;
+  uint64_t N = 0;
+  for (const auto &BB : F.blocks())
+    for (const auto &I : *BB)
+      if (I->opcode() == ir::Opcode::Mul)
+        N += T.sequenceOf(I).size();
+  return N;
+}
+
+} // namespace
+
+TEST(PeelTest, PeelingClearsEveryWrapFlag) {
+  // Section 4.1's trick at scale: one peeled iteration removes every
+  // wrap-around dependence flag, however many chains the loop carries.
+  for (unsigned Chains : {1u, 4u, 12u}) {
+    SCOPED_TRACE("chains " + std::to_string(Chains));
+    std::string Src = wrapHeavySource(Chains);
+    EXPECT_EQ(wrapFlagged(analyze(Src, /*RunSCCP=*/true)), Chains);
+    EXPECT_EQ(wrapFlagged(analyzePeeled(Src, "L", 1)), 0u);
+  }
+}
+
+TEST(StrengthReduceTest, ChainWorkloadLosesEveryMultiplication) {
+  // The introduction's classical link: every linear multiplication in the
+  // chain workload disappears, statically and as executed.
+  struct Row {
+    unsigned Stmts;
+    unsigned StaticMuls;
+    uint64_t DynamicMuls;
+  };
+  const Row Rows[] = {{30, 10, 640}, {100, 34, 2176}, {300, 101, 6464}};
+  for (const Row &Want : Rows) {
+    SCOPED_TRACE("stmts " + std::to_string(Want.Stmts));
+    ivclass::AnalyzedProgram P =
+        ivclass::analyzeSourceOrDie(bench::genLinearChain(Want.Stmts));
+    EXPECT_EQ(countMuls(*P.F), Want.StaticMuls);
+    EXPECT_EQ(dynamicMuls(*P.F), Want.DynamicMuls);
+    transform::strengthReduce(*P.IA);
+    ssa::verifySSAOrDie(*P.F);
+    EXPECT_EQ(countMuls(*P.F), 0u);
+    EXPECT_EQ(dynamicMuls(*P.F), 0u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

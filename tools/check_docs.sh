@@ -42,7 +42,7 @@ for FLAG in $FLAGS; do
 done
 
 # 2. Backtick-quoted repo paths.  Docs may name build-tree binaries
-# (`bench/bench_batch`, `tests/ivclass`); those count as long as the source
+# (`bench/bench_serve`, `tests/ivclass`); those count as long as the source
 # that produces them exists.
 PATHS=$(grep -hoE '`[A-Za-z0-9_./-]+`' $DOCS 2>/dev/null | tr -d '\140' |
   grep -E '^(src|tools|tests|bench|docs)/' | sort -u)
@@ -102,17 +102,17 @@ fi
 
 # 5. Same contract for the per-unit allocation ceiling: DESIGN.md
 # section 11 states the current MaxHeapAllocsPerUnit in bold, and
-# bench/bench_batch.cpp fails its run when the front-half hot path
+# tests/alloc_ceiling_test.cpp fails when the front-half hot path
 # exceeds the constant; doc and assertion must move together.
 CODE_CEIL=$(sed -n \
   's/.*MaxHeapAllocsPerUnit = \([0-9][0-9]*\);.*/\1/p' \
-  bench/bench_batch.cpp)
+  tests/alloc_ceiling_test.cpp)
 DOC_CEIL=$(sed -n \
   's/.*`MaxHeapAllocsPerUnit` (currently \*\*\([0-9][0-9]*\)\*\*.*/\1/p' \
   DESIGN.md)
 if [ -z "$CODE_CEIL" ]; then
   echo "docs_check: cannot find MaxHeapAllocsPerUnit in" \
-       "bench/bench_batch.cpp" >&2
+       "tests/alloc_ceiling_test.cpp" >&2
   FAIL=1
 elif [ -z "$DOC_CEIL" ]; then
   echo "docs_check: DESIGN.md does not document the current" \
@@ -120,7 +120,7 @@ elif [ -z "$DOC_CEIL" ]; then
   FAIL=1
 elif [ "$CODE_CEIL" != "$DOC_CEIL" ]; then
   echo "docs_check: DESIGN.md documents MaxHeapAllocsPerUnit $DOC_CEIL" \
-       "but bench/bench_batch.cpp says $CODE_CEIL" >&2
+       "but tests/alloc_ceiling_test.cpp says $CODE_CEIL" >&2
   FAIL=1
 fi
 
