@@ -3,17 +3,10 @@
 #include "analysis/LoopInfo.h"
 #include "support/Stats.h"
 #include <algorithm>
-#include <map>
+#include <cassert>
 
 using namespace biv;
 using namespace biv::analysis;
-
-bool Loop::encloses(const Loop *Other) const {
-  for (const Loop *L = Other; L; L = L->parent())
-    if (L == this)
-      return true;
-  return false;
-}
 
 /// Derives the printable loop name from its header block name: "L18.header"
 /// becomes "L18"; anything else is used as is.
@@ -28,56 +21,129 @@ static std::string loopNameFromHeader(const ir::BasicBlock *Header) {
 LoopInfo::LoopInfo(const ir::Function &F, const DominatorTree &DT) : F(F) {
   static const stats::Timer LoopInfoPhase("phase.loopinfo");
   stats::ScopedSpan Span(LoopInfoPhase);
-  InnermostFor.assign(F.numBlocks(), nullptr);
+  const size_t NumBlocks = F.numBlocks();
+  InnermostFor.assign(NumBlocks, nullptr);
 
-  // Find back edges grouped by header, in RPO so outer headers come first.
-  std::map<const ir::BasicBlock *, std::vector<ir::BasicBlock *>> BackEdges;
-  std::vector<ir::BasicBlock *> HeaderOrder;
+  // One loop per back-edge target, latches in RPO; then loops in header RPO
+  // order, so outer loops precede the loops nested in them.
+  std::vector<unsigned> RpoPos(NumBlocks);
+  for (unsigned I = 0; I < DT.rpo().size(); ++I)
+    RpoPos[DT.rpo()[I]->id()] = I;
+  std::vector<Loop *> ByHeader(NumBlocks, nullptr);
   for (ir::BasicBlock *BB : DT.rpo())
     for (ir::BasicBlock *Succ : BB->successors())
       if (DT.dominates(Succ, BB)) {
-        auto [It, Inserted] = BackEdges.try_emplace(Succ);
-        if (Inserted)
-          HeaderOrder.push_back(Succ);
-        It->second.push_back(BB);
+        Loop *&L = ByHeader[Succ->id()];
+        if (!L) {
+          Loops.push_back(
+              std::make_unique<Loop>(Succ, loopNameFromHeader(Succ)));
+          L = Loops.back().get();
+          L->Info = this;
+        }
+        L->Latches.push_back(BB);
       }
-  // RPO order of headers: sort HeaderOrder by RPO position.
-  {
-    std::map<const ir::BasicBlock *, size_t> Pos;
-    for (size_t I = 0; I < DT.rpo().size(); ++I)
-      Pos[DT.rpo()[I]] = I;
-    std::sort(HeaderOrder.begin(), HeaderOrder.end(),
-              [&](ir::BasicBlock *A, ir::BasicBlock *B) {
-                return Pos[A] < Pos[B];
-              });
-  }
+  std::sort(Loops.begin(), Loops.end(),
+            [&](const std::unique_ptr<Loop> &A, const std::unique_ptr<Loop> &B) {
+              return RpoPos[A->Header->id()] < RpoPos[B->Header->id()];
+            });
 
-  // Build each loop body: backwards reachability from the latches without
-  // crossing the header.
-  for (ir::BasicBlock *Header : HeaderOrder) {
-    auto L = std::make_unique<Loop>(Header, loopNameFromHeader(Header));
-    L->Latches = BackEdges[Header];
-    L->BlockSet.insert(Header->id());
-    std::vector<ir::BasicBlock *> Work = L->Latches;
-    for (ir::BasicBlock *Latch : L->Latches)
-      L->BlockSet.insert(Latch->id());
+  // Each body: backwards reachability from the latches without crossing the
+  // header.  Mark[id] holds the index of the last loop that reached a block.
+  std::vector<unsigned> BodyIds, BodyStart;
+  std::vector<unsigned> Mark(NumBlocks, ~0u);
+  std::vector<ir::BasicBlock *> Work;
+  for (unsigned Idx = 0; Idx < Loops.size(); ++Idx) {
+    Loop &L = *Loops[Idx];
+    L.Index = Idx;
+    BodyStart.push_back(BodyIds.size());
+    auto reach = [&](ir::BasicBlock *BB) {
+      if (Mark[BB->id()] == Idx)
+        return false;
+      Mark[BB->id()] = Idx;
+      BodyIds.push_back(BB->id());
+      return true;
+    };
+    reach(L.Header);
+    for (ir::BasicBlock *Latch : L.Latches)
+      if (reach(Latch))
+        Work.push_back(Latch);
     while (!Work.empty()) {
       ir::BasicBlock *BB = Work.back();
       Work.pop_back();
-      if (BB == Header)
+      if (BB == L.Header)
         continue;
       for (ir::BasicBlock *P : BB->predecessors())
-        if (L->BlockSet.insert(P->id()).second)
+        if (reach(P))
           Work.push_back(P);
     }
-    // Materialize the block list in function order for determinism.
-    for (ir::BasicBlock *BB : F.blocks())
-      if (L->BlockSet.count(BB->id()))
-        L->Blocks.push_back(BB);
+  }
+  BodyStart.push_back(BodyIds.size());
+
+  // Per block, the loops containing it in index order (outer to inner), as
+  // a CSR list; a block's last loop is its innermost one.
+  std::vector<unsigned> LoopsOfStart(NumBlocks + 1, 0);
+  for (unsigned Id : BodyIds)
+    ++LoopsOfStart[Id + 1];
+  for (size_t Id = 0; Id < NumBlocks; ++Id)
+    LoopsOfStart[Id + 1] += LoopsOfStart[Id];
+  std::vector<unsigned> LoopsOf(BodyIds.size());
+  {
+    std::vector<unsigned> Fill(LoopsOfStart.begin(), LoopsOfStart.end() - 1);
+    for (unsigned Idx = 0; Idx < Loops.size(); ++Idx)
+      for (unsigned P = BodyStart[Idx]; P < BodyStart[Idx + 1]; ++P)
+        LoopsOf[Fill[BodyIds[P]]++] = Idx;
+  }
+
+  // One function-order pass fills every loop's block list and the innermost
+  // loop per block.  A header's loop is the last one containing it, so the
+  // loop before it there is its parent.
+  for (ir::BasicBlock *BB : F.blocks()) {
+    const unsigned Begin = LoopsOfStart[BB->id()];
+    const unsigned End = LoopsOfStart[BB->id() + 1];
+    for (unsigned P = Begin; P < End; ++P)
+      Loops[LoopsOf[P]]->Blocks.push_back(BB);
+    if (Begin == End)
+      continue;
+    InnermostFor[BB->id()] = Loops[LoopsOf[End - 1]].get();
+    if (Loop *L = ByHeader[BB->id()]; L && End - Begin >= 2) {
+      assert(LoopsOf[End - 1] == L->Index && "header outside its own loop");
+      L->Parent = Loops[LoopsOf[End - 2]].get();
+    }
+  }
+
+  // Nesting, then the pre-order numbering that answers contains().
+  for (const auto &L : Loops) {
+    if (L->Parent) {
+      L->Parent->SubLoops.push_back(L.get());
+      L->Depth = L->Parent->Depth + 1;
+    } else {
+      TopLevel.push_back(L.get());
+    }
+  }
+  unsigned Next = 0;
+  std::vector<std::pair<Loop *, size_t>> Stack;
+  for (Loop *Top : TopLevel) {
+    Top->PreOrder = Next++;
+    Stack.push_back({Top, 0});
+    while (!Stack.empty()) {
+      Loop *L = Stack.back().first;
+      size_t &Child = Stack.back().second;
+      if (Child == L->SubLoops.size()) {
+        L->PreOrderEnd = Next;
+        Stack.pop_back();
+        continue;
+      }
+      Loop *Sub = L->SubLoops[Child++];
+      Sub->PreOrder = Next++;
+      Stack.push_back({Sub, 0});
+    }
+  }
+
+  for (const auto &L : Loops) {
     // Preheader: unique outside predecessor of the header.
     ir::BasicBlock *Pre = nullptr;
     bool Multiple = false;
-    for (ir::BasicBlock *P : Header->predecessors()) {
+    for (ir::BasicBlock *P : L->Header->predecessors()) {
       if (L->contains(P))
         continue;
       if (Pre)
@@ -96,36 +162,7 @@ LoopInfo::LoopInfo(const ir::Function &F, const DominatorTree &DT) : F(F) {
               L->Exits.end())
             L->Exits.push_back(Succ);
         }
-    L->Index = Loops.size();
-    Loops.push_back(std::move(L));
   }
-
-  // Parent links: the smallest strictly-containing loop.  Headers appear in
-  // RPO, so a parent always precedes its children in Loops.
-  for (size_t I = 0; I < Loops.size(); ++I) {
-    Loop *Inner = Loops[I].get();
-    Loop *Best = nullptr;
-    for (size_t J = 0; J < I; ++J) {
-      Loop *Outer = Loops[J].get();
-      if (Outer == Inner || !Outer->contains(Inner->header()))
-        continue;
-      if (!Best || Best->Blocks.size() > Outer->Blocks.size())
-        Best = Outer;
-    }
-    Inner->Parent = Best;
-    if (Best) {
-      Best->SubLoops.push_back(Inner);
-      Inner->Depth = Best->Depth + 1;
-    } else {
-      TopLevel.push_back(Inner);
-    }
-  }
-
-  // Innermost loop per block: visit loops outer-to-inner so inner loops
-  // overwrite their parents.
-  for (const auto &L : Loops)
-    for (ir::BasicBlock *BB : L->Blocks)
-      InnermostFor[BB->id()] = L.get();
 }
 
 std::vector<Loop *> LoopInfo::innerToOuter() const {
@@ -134,10 +171,6 @@ std::vector<Loop *> LoopInfo::innerToOuter() const {
   for (auto It = Loops.rbegin(); It != Loops.rend(); ++It)
     Result.push_back(It->get());
   return Result;
-}
-
-Loop *LoopInfo::loopFor(const ir::BasicBlock *BB) const {
-  return InnermostFor[BB->id()];
 }
 
 Loop *LoopInfo::byName(const std::string &Name) const {

@@ -13,6 +13,10 @@
 /// this nest "from the inner loops outward" (paper section 5.3), so LoopInfo
 /// exposes an inner-to-outer traversal.
 ///
+/// Construction takes time linear in the blocks plus the loop bodies, and
+/// membership queries are O(1): a block is in loop L when its innermost loop
+/// lies in L's pre-order interval of the loop tree.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEYONDIV_ANALYSIS_LOOPINFO_H
@@ -20,12 +24,13 @@
 
 #include "analysis/DominatorTree.h"
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace biv {
 namespace analysis {
+
+class LoopInfo;
 
 /// One natural loop.
 class Loop {
@@ -39,16 +44,17 @@ public:
   /// matching the loop names in the paper's figures.
   const std::string &name() const { return Name; }
 
-  /// All blocks of the loop (header included).
+  /// All blocks of the loop (header included), in function order.
   const std::vector<ir::BasicBlock *> &blocks() const { return Blocks; }
-  bool contains(const ir::BasicBlock *BB) const {
-    return BlockSet.count(BB->id()) != 0;
-  }
+  inline bool contains(const ir::BasicBlock *BB) const;
   bool contains(const ir::Instruction *I) const {
     return contains(I->parent());
   }
   /// True when \p Other is this loop or nested (transitively) inside it.
-  bool encloses(const Loop *Other) const;
+  bool encloses(const Loop *Other) const {
+    return Other && Other->PreOrder >= PreOrder &&
+           Other->PreOrder < PreOrderEnd;
+  }
 
   /// Latch blocks (sources of back edges).  The front end produces exactly
   /// one latch per loop.
@@ -77,10 +83,10 @@ public:
 private:
   friend class LoopInfo;
 
+  const LoopInfo *Info = nullptr;
   ir::BasicBlock *Header;
   std::string Name;
   std::vector<ir::BasicBlock *> Blocks;
-  std::set<unsigned> BlockSet;
   std::vector<ir::BasicBlock *> Latches;
   ir::BasicBlock *Preheader = nullptr;
   std::vector<ir::BasicBlock *> Exiting;
@@ -89,12 +95,18 @@ private:
   std::vector<Loop *> SubLoops;
   unsigned Depth = 1;
   unsigned Index = 0;
+  /// This loop's subtree is the pre-order range [PreOrder, PreOrderEnd).
+  unsigned PreOrder = 0;
+  unsigned PreOrderEnd = 0;
 };
 
 /// The loop nest of one function.
 class LoopInfo {
 public:
   LoopInfo(const ir::Function &F, const DominatorTree &DT);
+  // Loops point back here to answer contains().
+  LoopInfo(const LoopInfo &) = delete;
+  LoopInfo &operator=(const LoopInfo &) = delete;
 
   /// All loops, every parent preceding its children.
   const std::vector<std::unique_ptr<Loop>> &loops() const { return Loops; }
@@ -107,7 +119,9 @@ public:
   std::vector<Loop *> innerToOuter() const;
 
   /// The innermost loop containing \p BB, or null.
-  Loop *loopFor(const ir::BasicBlock *BB) const;
+  Loop *loopFor(const ir::BasicBlock *BB) const {
+    return BB->id() < InnermostFor.size() ? InnermostFor[BB->id()] : nullptr;
+  }
 
   /// Finds a loop by printable name, or null.
   Loop *byName(const std::string &Name) const;
@@ -118,6 +132,10 @@ private:
   std::vector<Loop *> TopLevel;
   std::vector<Loop *> InnermostFor; // by block id
 };
+
+bool Loop::contains(const ir::BasicBlock *BB) const {
+  return encloses(Info->loopFor(BB));
+}
 
 } // namespace analysis
 } // namespace biv

@@ -147,25 +147,26 @@ const stats::Counter &indepCounterFor(const std::string &Note) {
 std::vector<Dependence> DependenceAnalyzer::analyze() {
   stats::ScopedSpan Span(DependencePhase);
   // Gather references per array, in program order (block id, then index).
+  // Arrays are visited in creation order (Array::id()), never in address
+  // order, so the result order is the same in every process.
   struct ArrayRefs {
     std::vector<Reference> Refs;
     bool AnyWrite = false;
   };
-  std::map<const ir::Array *, ArrayRefs> ByArray;
+  std::vector<ArrayRefs> ByArray(IA.function().arrays().size());
   const analysis::LoopInfo &LI = IA.loopInfo();
   for (const ir::BasicBlock *BB : IA.function().blocks())
     for (ir::Instruction *I : *BB) {
       bool IsWrite = I->opcode() == ir::Opcode::ArrayStore;
       if (!IsWrite && I->opcode() != ir::Opcode::ArrayLoad)
         continue;
-      ArrayRefs &AR = ByArray[I->array()];
+      ArrayRefs &AR = ByArray[I->array()->id()];
       AR.Refs.push_back({I, IsWrite, LI.loopFor(BB)});
       AR.AnyWrite |= IsWrite;
     }
 
   std::vector<Dependence> Result;
-  for (auto &[Array, AR] : ByArray) {
-    (void)Array;
+  for (ArrayRefs &AR : ByArray) {
     if (!AR.AnyWrite)
       continue;
     for (size_t I = 0; I < AR.Refs.size(); ++I)

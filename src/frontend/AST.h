@@ -38,6 +38,7 @@
 #include "frontend/Token.h"
 #include "support/Arena.h"
 #include "support/StringInterner.h"
+#include <algorithm>
 #include <cassert>
 #include <string>
 #include <string_view>
@@ -72,14 +73,20 @@ public:
 
   ExprKind kind() const { return Kind; }
   SourceLoc loc() const { return Loc; }
+  /// Levels in this expression tree: 1 for a leaf, 1 + the tallest operand
+  /// otherwise.  The parser bounds it (MaxNestingDepth, Parser.h) because
+  /// every pass over the tree recurses that deep.
+  unsigned height() const { return Height; }
 
 protected:
-  Expr(ExprKind K, SourceLoc L) : Kind(K), Loc(L) {}
+  Expr(ExprKind K, SourceLoc L, unsigned Height = 1)
+      : Kind(K), Loc(L), Height(Height) {}
   ~Expr() = default;
 
 private:
   ExprKind Kind;
   SourceLoc Loc;
+  unsigned Height;
 };
 
 class IntLitExpr : public Expr {
@@ -109,7 +116,8 @@ class ArrayRefExpr : public Expr {
 public:
   ArrayRefExpr(std::string_view N, support::Symbol S, ExprList Idx,
                SourceLoc L)
-      : Expr(ExprKind::ArrayRef, L), Name(N), Sym(S), Indices(Idx) {}
+      : Expr(ExprKind::ArrayRef, L, 1 + tallest(Idx)), Name(N), Sym(S),
+        Indices(Idx) {}
   std::string_view name() const { return Name; }
   support::Symbol sym() const { return Sym; }
   const ExprList &indices() const { return Indices; }
@@ -118,6 +126,13 @@ public:
   }
 
 private:
+  static unsigned tallest(const ExprList &Idx) {
+    unsigned H = 0;
+    for (const Expr *E : Idx)
+      H = std::max(H, E->height());
+    return H;
+  }
+
   std::string_view Name;
   support::Symbol Sym;
   ExprList Indices;
@@ -126,7 +141,8 @@ private:
 class BinaryExpr : public Expr {
 public:
   BinaryExpr(BinOp Op, Expr *L, Expr *R, SourceLoc Loc)
-      : Expr(ExprKind::Binary, Loc), Op(Op), LHS(L), RHS(R) {}
+      : Expr(ExprKind::Binary, Loc, 1 + std::max(L->height(), R->height())),
+        Op(Op), LHS(L), RHS(R) {}
   BinOp op() const { return Op; }
   const Expr *lhs() const { return LHS; }
   const Expr *rhs() const { return RHS; }
@@ -140,7 +156,8 @@ private:
 /// Unary minus.
 class UnaryExpr : public Expr {
 public:
-  UnaryExpr(Expr *S, SourceLoc L) : Expr(ExprKind::Unary, L), Sub(S) {}
+  UnaryExpr(Expr *S, SourceLoc L)
+      : Expr(ExprKind::Unary, L, 1 + S->height()), Sub(S) {}
   const Expr *sub() const { return Sub; }
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Unary; }
 

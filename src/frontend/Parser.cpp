@@ -46,8 +46,29 @@ bool Parser::expect(TokenKind K, const char *Context) {
 
 void Parser::error(const std::string &Msg) {
   Failed = true;
+  if (Silenced)
+    return;
   NumDiagnostics.bump();
   Errors.push_back(peek().Loc.str() + ": " + Msg);
+}
+
+Parser::Nesting::Nesting(Parser &P, unsigned &Depth, const char *What)
+    : Depth(Depth), TooDeep(++Depth > MaxNestingDepth) {
+  if (TooDeep)
+    P.tooDeep(What);
+}
+
+void Parser::tooDeep(const char *What) {
+  error(std::string(What) + " nested deeper than " +
+        std::to_string(MaxNestingDepth) + " levels");
+  Silenced = true;
+}
+
+Expr *Parser::bounded(Expr *E) {
+  if (E->height() <= MaxNestingDepth)
+    return E;
+  tooDeep("expression");
+  return nullptr;
 }
 
 std::pair<std::string_view, biv::support::Symbol> Parser::freshLabel() {
@@ -115,6 +136,9 @@ StmtList Parser::parseBlockOrStatement() {
 }
 
 Stmt *Parser::parseStatement() {
+  Nesting Level(*this, StmtDepth, "statement");
+  if (Level.TooDeep)
+    return nullptr;
   SourceLoc Loc = peek().Loc;
 
   if (accept(TokenKind::KwBreak)) {
@@ -291,7 +315,9 @@ Expr *Parser::parseComparison() {
     Expr *R = parseAdditive();
     if (!R)
       return nullptr;
-    L = A.create<BinaryExpr>(Op, L, R, Loc);
+    L = bounded(A.create<BinaryExpr>(Op, L, R, Loc));
+    if (!L)
+      return nullptr;
   }
 }
 
@@ -305,7 +331,9 @@ Expr *Parser::parseAdditive() {
     Expr *R = parseMultiplicative();
     if (!R)
       return nullptr;
-    L = A.create<BinaryExpr>(Op, L, R, Loc);
+    L = bounded(A.create<BinaryExpr>(Op, L, R, Loc));
+    if (!L)
+      return nullptr;
   }
   return L;
 }
@@ -320,18 +348,25 @@ Expr *Parser::parseMultiplicative() {
     Expr *R = parseUnary();
     if (!R)
       return nullptr;
-    L = A.create<BinaryExpr>(Op, L, R, Loc);
+    L = bounded(A.create<BinaryExpr>(Op, L, R, Loc));
+    if (!L)
+      return nullptr;
   }
   return L;
 }
 
 Expr *Parser::parseUnary() {
+  // Every nested operand passes through here, so this counts the parser's
+  // own recursion; bounded() below caps the tree height.
+  Nesting Level(*this, ExprDepth, "expression");
+  if (Level.TooDeep)
+    return nullptr;
   if (check(TokenKind::Minus)) {
     SourceLoc Loc = advance().Loc;
     Expr *S = parseUnary();
     if (!S)
       return nullptr;
-    return A.create<UnaryExpr>(S, Loc);
+    return bounded(A.create<UnaryExpr>(S, Loc));
   }
   return parsePower();
 }
@@ -346,7 +381,7 @@ Expr *Parser::parsePower() {
     Expr *R = parseUnary();
     if (!R)
       return nullptr;
-    return A.create<BinaryExpr>(BinOp::Pow, L, R, Loc);
+    return bounded(A.create<BinaryExpr>(BinOp::Pow, L, R, Loc));
   }
   return L;
 }
@@ -369,7 +404,7 @@ Expr *Parser::parsePrimary() {
       } while (accept(TokenKind::Comma));
       if (!expect(TokenKind::RBracket, "after subscripts"))
         return nullptr;
-      return A.create<ArrayRefExpr>(Name.Text, Name.Sym, Indices, Loc);
+      return bounded(A.create<ArrayRefExpr>(Name.Text, Name.Sym, Indices, Loc));
     }
     return A.create<VarRefExpr>(Name.Text, Name.Sym, Loc);
   }

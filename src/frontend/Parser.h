@@ -30,6 +30,16 @@
 namespace biv {
 namespace frontend {
 
+/// Deepest nesting the parser accepts, counted separately for statements and
+/// for expressions.  A statement directly in the function body is at depth 1
+/// and each enclosing if/loop/for/while adds one.  An expression's depth is
+/// the height of its tree, and also counts the parser's own recursion, where
+/// each parenthesis, subscript, unary minus or `^` operand adds one, so
+/// `a + b + c` is 2 deep and `((a))` 3.  Later passes recurse over the tree,
+/// so deeper input gets a diagnostic instead of a stack overflow.  Stated in
+/// docs/LANGUAGE.md (tools/check_docs.sh compares the two).
+inline constexpr unsigned MaxNestingDepth = 1000;
+
 /// Parses one function per call; diagnostics accumulate in errors().
 class Parser {
 public:
@@ -58,6 +68,19 @@ private:
   bool expect(TokenKind K, const char *Context);
   void error(const std::string &Msg);
 
+  /// Holds one level of a nesting counter for its lifetime.
+  struct Nesting {
+    Nesting(Parser &P, unsigned &Depth, const char *What);
+    ~Nesting() { --Depth; }
+    unsigned &Depth;
+    bool TooDeep;
+  };
+  /// Reports \p What nested past MaxNestingDepth, once: the unwinding parse
+  /// would otherwise add a diagnostic per level.
+  void tooDeep(const char *What);
+  /// \p E, or null after a diagnostic when its tree is too tall.
+  Expr *bounded(Expr *E);
+
   StmtList parseBlock();
   Stmt *parseStatement();
   StmtList parseBlockOrStatement();
@@ -78,6 +101,10 @@ private:
   size_t Pos = 0;
   std::vector<std::string> Errors;
   bool Failed = false;
+  /// Set by tooDeep(); later diagnostics are dropped.
+  bool Silenced = false;
+  unsigned StmtDepth = 0;
+  unsigned ExprDepth = 0;
   unsigned NextLabel = 1;
 };
 

@@ -18,38 +18,45 @@ using namespace biv::ivclass;
 // ClassTable
 //===----------------------------------------------------------------------===//
 
-Classification *ClassTable::find(const ir::Value *V) {
-  if (const auto *I = ir::dyn_cast<ir::Instruction>(V)) {
-    unsigned Seq = I->seq();
-    return Seq < BySeq.size() ? BySeq[Seq] : nullptr;
+uint32_t &ClassTable::slotFor(const ir::Value *V) {
+  uint64_t Key;
+  if (const auto *I = ir::dyn_cast<ir::Instruction>(V))
+    Key = I->seq();
+  else
+    Key = uint64_t(reinterpret_cast<uintptr_t>(V)) >> 3;
+  // Fibonacci hashing spreads dense seqs and aligned addresses alike.
+  Key *= 0x9E3779B97F4A7C15ull;
+  const size_t Mask = Index.size() - 1;
+  for (size_t S = size_t(Key ^ (Key >> 32)) & Mask;; S = (S + 1) & Mask) {
+    uint32_t &Slot = Index[S];
+    if (Slot == EmptySlot || Entries[Slot].first == V)
+      return Slot;
   }
-  auto It = Other.find(V);
-  return It != Other.end() ? It->second : nullptr;
+}
+
+void ClassTable::rehash(size_t NewCap) {
+  Index.assign(NewCap, EmptySlot);
+  for (uint32_t E = 0; E < Entries.size(); ++E)
+    slotFor(Entries[E].first) = E;
+}
+
+Classification *ClassTable::find(const ir::Value *V) {
+  if (Index.empty())
+    return nullptr;
+  uint32_t Slot = slotFor(V);
+  return Slot == EmptySlot ? nullptr : &Pool[Slot];
 }
 
 Classification &ClassTable::getOrCreate(const ir::Value *V, bool &Created) {
-  Created = false;
-  if (const auto *I = ir::dyn_cast<ir::Instruction>(V)) {
-    unsigned Seq = I->seq();
-    if (Seq >= BySeq.size())
-      BySeq.resize(std::max<size_t>(Seq + 1, BySeq.size() * 2), nullptr);
-    Classification *&Slot = BySeq[Seq];
-    if (!Slot) {
-      Pool.emplace_back();
-      Slot = &Pool.back();
-      Entries.push_back({V, Slot});
-      Created = true;
-    }
-    return *Slot;
+  if ((Entries.size() + 1) * 4 > Index.size() * 3)
+    rehash(Index.empty() ? 16 : Index.size() * 2);
+  uint32_t &Slot = slotFor(V);
+  Created = Slot == EmptySlot;
+  if (Created) {
+    Slot = uint32_t(Entries.size());
+    Entries.push_back({V, &Pool.emplace_back()});
   }
-  Classification *&Slot = Other[V];
-  if (!Slot) {
-    Pool.emplace_back();
-    Slot = &Pool.back();
-    Entries.push_back({V, Slot});
-    Created = true;
-  }
-  return *Slot;
+  return Pool[Slot];
 }
 
 namespace {
@@ -72,18 +79,16 @@ struct LinTerm {
 /// through the loop body); nullopt = not expressible.
 using SymSet = std::vector<LinTerm>;
 
-/// Classifies one loop.  Owned state is per-loop; long-lived results land in
-/// the analysis' ClassMap.
+/// Classifies one loop.  Owned state is sized to the loop; long-lived
+/// results land in the analysis' ClassMap.
 class LoopClassifier {
 public:
   LoopClassifier(InductionAnalysis &IA, const analysis::Loop *L,
                  ClassTable &Map, const InductionAnalysis::Options &Opts,
-                 unsigned &FamilyId, InductionAnalysis::Stats &S)
-      : IA(IA), L(L), G(*L, IA.loopInfo()), Map(Map), Opts(Opts),
-        NextFamilyId(FamilyId), S(S) {
-    // The graph construction numbered the function if needed; the SCR
-    // membership mask is keyed by those sequence numbers.
-    InSCRMask.assign(L->header()->parent()->instrSeqBound(), 0);
+                 unsigned &FamilyId, InductionAnalysis::Stats &S,
+                 std::vector<unsigned> &SeqToNode)
+      : IA(IA), L(L), G(*L, IA.loopInfo(), SeqToNode), Map(Map), Opts(Opts),
+        NextFamilyId(FamilyId), S(S), InSCR(G.nodes().size(), 0) {
     // Arrays written inside the loop (for the array-load invariance rule).
     for (ir::BasicBlock *BB : L->blocks())
       for (const auto &I : *BB)
@@ -130,7 +135,8 @@ private:
   }
 
   bool inSCR(const ir::Instruction *I) const {
-    return I->seq() < InSCRMask.size() && InSCRMask[I->seq()];
+    unsigned N = G.nodeIndex(I);
+    return N != SSAGraph::NoNode && InSCR[N];
   }
 
   //===------------------------------------------------------------------===//
@@ -460,10 +466,10 @@ private:
 
   void classifyRegion(const SCR &Region) {
     for (const ir::Instruction *N : Region.Nodes)
-      InSCRMask[N->seq()] = 1;
+      InSCR[G.nodeIndex(N)] = 1;
     classifyRegionImpl(Region);
     for (const ir::Instruction *N : Region.Nodes)
-      InSCRMask[N->seq()] = 0;
+      InSCR[G.nodeIndex(N)] = 0;
   }
 
   void classifyRegionImpl(const SCR &Region) {
@@ -1163,8 +1169,8 @@ private:
   unsigned &NextFamilyId;
   InductionAnalysis::Stats &S;
   std::unordered_set<const ir::Array *> StoredArrays;
-  /// Instruction::seq() -> membership in the SCR currently being classified.
-  std::vector<char> InSCRMask;
+  /// Node index in G -> membership in the SCR currently being classified.
+  std::vector<char> InSCR;
 };
 
 } // namespace
@@ -1200,12 +1206,17 @@ InductionAnalysis::InductionAnalysis(ir::Function &F,
 void InductionAnalysis::run() {
   static const stats::Timer ClassifyPhase("phase.classify");
   stats::ScopedSpan Span(ClassifyPhase);
+  // The only function-sized state of the classify path: the SSA graphs'
+  // seq -> node map, shared by every loop (each graph resets what it set).
+  std::vector<unsigned> SeqToNode;
   for (const analysis::Loop *L : LI.innerToOuter())
-    processLoop(L);
+    processLoop(L, SeqToNode);
 }
 
-void InductionAnalysis::processLoop(const analysis::Loop *L) {
-  LoopClassifier(*this, L, tableFor(L), Opts, NextFamilyId, S).run();
+void InductionAnalysis::processLoop(const analysis::Loop *L,
+                                    std::vector<unsigned> &SeqToNode) {
+  LoopClassifier(*this, L, tableFor(L), Opts, NextFamilyId, S, SeqToNode)
+      .run();
 
   // Second chance for punted multi-branch loops: runs after the classifier
   // (it consumes sibling classifications) and before the trip count (which

@@ -28,20 +28,23 @@
 #include "analysis/LoopInfo.h"
 #include "ivclass/Classification.h"
 #include "ivclass/TripCount.h"
+#include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace biv {
 namespace ivclass {
 
-/// Classification storage for one loop.  Instructions (the hot path) are
-/// keyed by their dense Instruction::seq() through a flat pointer vector;
-/// constants, arguments, and undef fall back to a hash map.  Entries are
-/// pooled in a deque so references stay stable across inserts, and the
-/// insertion order is recorded so iteration is deterministic (a pointer-keyed
-/// std::map iterated in address order, which varies run to run).
+/// Classification storage for one loop, sized to the entries it holds so a
+/// loop's table stays proportional to the loop rather than to the function.
+/// Entries are found through an open-addressed index (power-of-two
+/// capacity, linear probing, at most 3/4 full) hashed on the dense
+/// Instruction::seq() for instructions and on the address for constants,
+/// arguments and undef; the index stores entry positions, so a probe
+/// compares values for identity.  Entries are pooled in a deque so
+/// references stay stable across inserts, and the insertion order is
+/// recorded so iteration is deterministic.
 class ClassTable {
 public:
   /// The entry for \p V, or null when none has been recorded.
@@ -58,8 +61,14 @@ public:
   }
 
 private:
-  std::vector<Classification *> BySeq;
-  std::unordered_map<const ir::Value *, Classification *> Other;
+  static constexpr uint32_t EmptySlot = ~uint32_t(0);
+
+  /// The index slot holding \p V's entry position, or the empty slot where
+  /// it belongs.  The index must be non-empty.
+  uint32_t &slotFor(const ir::Value *V);
+  void rehash(size_t NewCap);
+
+  std::vector<uint32_t> Index;
   std::deque<Classification> Pool;
   std::vector<std::pair<const ir::Value *, const Classification *>> Entries;
 };
@@ -157,7 +166,8 @@ public:
                                   const analysis::Loop *L) const;
 
 private:
-  void processLoop(const analysis::Loop *L);
+  /// \p SeqToNode is run()'s seq-indexed scratch for the loop's SSA graph.
+  void processLoop(const analysis::Loop *L, std::vector<unsigned> &SeqToNode);
   void materializeExitValues(const analysis::Loop *L,
                              const TripCountInfo &TC);
   /// Builds IR computing \p V (integer affine) at the end of \p BB; returns

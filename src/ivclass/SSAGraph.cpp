@@ -6,8 +6,9 @@
 using namespace biv;
 using namespace biv::ivclass;
 
-SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI)
-    : Loop(L) {
+SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI,
+                   std::vector<unsigned> &SeqToNode)
+    : Loop(L), SeqToNode(SeqToNode) {
   ir::Function *F = L.header()->parent();
 
   // Collect the member instructions: blocks whose innermost loop is L.
@@ -29,7 +30,8 @@ SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI)
   if (!Valid)
     F->renumberInstructions();
 
-  SeqToNode.assign(F->instrSeqBound(), NoNode);
+  if (SeqToNode.size() < F->instrSeqBound())
+    SeqToNode.resize(F->instrSeqBound(), NoNode);
   for (unsigned Idx = 0; Idx < Nodes.size(); ++Idx)
     SeqToNode[Nodes[Idx]->seq()] = Idx;
 
@@ -38,9 +40,7 @@ SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI)
   EdgeOffsets.assign(N + 1, 0);
   auto memberOf = [&](const ir::Value *Op) -> unsigned {
     const auto *OpInst = ir::dyn_cast<ir::Instruction>(Op);
-    if (!OpInst || OpInst->seq() >= SeqToNode.size())
-      return NoNode;
-    return SeqToNode[OpInst->seq()];
+    return OpInst ? nodeIndex(OpInst) : NoNode;
   };
   for (unsigned Idx = 0; Idx < N; ++Idx)
     for (const ir::Value *Op : Nodes[Idx]->operands())
@@ -56,6 +56,11 @@ SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI)
       if (W != NoNode)
         Edges[Fill[Idx]++] = W;
     }
+}
+
+SSAGraph::~SSAGraph() {
+  for (const ir::Instruction *I : Nodes)
+    SeqToNode[I->seq()] = NoNode;
 }
 
 std::vector<SCR> SSAGraph::stronglyConnectedRegions() const {

@@ -17,10 +17,12 @@
 /// operands defined there are treated as opaque (paper section 5.3), except
 /// for exit values the analysis has already materialized.
 ///
-/// Representation: nodes are keyed by Instruction::seq() (dense per-function
-/// numbering) through a flat vector, and edges live in one CSR-style array
+/// Representation: nodes are found by Instruction::seq() (dense per-function
+/// numbering) through a seq-indexed scratch vector that the caller owns and
+/// every loop of the function reuses, and edges live in one CSR-style array
 /// built once at construction, so both graph construction and Tarjan's walk
-/// are allocation-free per node and touch no ordered containers.
+/// are allocation-free per node and touch no ordered containers.  Apart from
+/// that shared scratch, a graph's storage is proportional to its loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,15 +47,26 @@ struct SCR {
 /// The SSA graph of one loop.
 class SSAGraph {
 public:
+  static constexpr unsigned NoNode = ~0u;
+
   /// Builds the graph of \p L: all instructions whose block is in \p L but
   /// in none of L's sub-loops.  Numbers the function's instructions densely
-  /// when that has not happened yet.
-  SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI);
+  /// when that has not happened yet.  \p SeqToNode maps Instruction::seq()
+  /// to node index and must hold only NoNode on entry; the graph grows it to
+  /// the function's seq bound, fills its own nodes' slots, and resets
+  /// exactly those slots on destruction, so one vector serves every loop.
+  SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI,
+           std::vector<unsigned> &SeqToNode);
+  ~SSAGraph();
+  SSAGraph(const SSAGraph &) = delete;
+  SSAGraph &operator=(const SSAGraph &) = delete;
 
   const analysis::Loop &loop() const { return Loop; }
   const std::vector<ir::Instruction *> &nodes() const { return Nodes; }
-  bool containsNode(const ir::Instruction *I) const {
-    return I->seq() < SeqToNode.size() && SeqToNode[I->seq()] != NoNode;
+
+  /// Position of \p I in nodes(), or NoNode when it is not a member.
+  unsigned nodeIndex(const ir::Instruction *I) const {
+    return I->seq() < SeqToNode.size() ? SeqToNode[I->seq()] : NoNode;
   }
 
   /// Strongly connected regions in Tarjan pop order: every SCR appears
@@ -61,13 +74,11 @@ public:
   std::vector<SCR> stronglyConnectedRegions() const;
 
 private:
-  static constexpr unsigned NoNode = ~0u;
-
   const analysis::Loop &Loop;
   std::vector<ir::Instruction *> Nodes;
-  /// Instruction::seq() -> node index, NoNode for non-members.  Sized to the
-  /// function's seq bound.
-  std::vector<unsigned> SeqToNode;
+  /// Instruction::seq() -> node index, NoNode for non-members; the caller's
+  /// function-sized scratch.
+  std::vector<unsigned> &SeqToNode;
   /// CSR adjacency: successors of node i are Edges[EdgeOffsets[i] ..
   /// EdgeOffsets[i+1]).
   std::vector<unsigned> EdgeOffsets;

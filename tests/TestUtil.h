@@ -185,6 +185,26 @@ inline void expectMonotoneTrace(const ivclass::Classification &C,
   }
 }
 
+/// A function whose one expression is \p Depth levels deep as the parser
+/// counts it (frontend::MaxNestingDepth): Depth - 1 parentheses around `n`.
+inline std::string deepExprSource(unsigned Depth) {
+  return "func f(n) {\n  x = " + std::string(Depth - 1, '(') + "n" +
+         std::string(Depth - 1, ')') + ";\n  return x;\n}\n";
+}
+
+/// A function whose innermost statement sits at nesting depth \p Depth:
+/// Depth - 1 nested `if` (or `while`) statements around one assignment.
+inline std::string deepStmtSource(unsigned Depth, bool Loops = false) {
+  std::string Head = Loops ? "while (x < n) {\n" : "if (x < n) {\n";
+  std::string Src = "func f(n) {\n  x = 0;\n";
+  for (unsigned D = 1; D < Depth; ++D)
+    Src += Head;
+  Src += "x = x + 1;\n";
+  for (unsigned D = 1; D < Depth; ++D)
+    Src += "}\n";
+  return Src + "  return x;\n}\n";
+}
+
 } // namespace testutil
 } // namespace biv
 

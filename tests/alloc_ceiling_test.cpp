@@ -1,14 +1,17 @@
-//===- tests/alloc_ceiling_test.cpp - Front-half heap allocation ceiling ------===//
+//===- tests/alloc_ceiling_test.cpp - Heap allocation ceilings ---------------===//
 //
 // Audits the front half of the pipeline (parse + lower + SSA + SCCP + DCE)
 // for general-heap allocations the arena layer was supposed to absorb
-// (DESIGN.md §11).  Every `operator new` in this process is counted, so the
-// test is its own binary.
+// (DESIGN.md §11), and checks that the analysis half's heap traffic grows
+// linearly with the program on deep loop nests (DESIGN.md §6).  Every
+// `operator new` in this process is counted and its requested bytes summed,
+// so the test is its own binary.
 //
 //===----------------------------------------------------------------------===//
 
 #include "WorkloadGen.h"
 #include "frontend/Lowering.h"
+#include "ivclass/Pipeline.h"
 #include "ssa/DeadCode.h"
 #include "ssa/SCCP.h"
 #include "ssa/SSABuilder.h"
@@ -21,9 +24,11 @@
 using namespace biv;
 
 static std::atomic<unsigned long long> GHeapAllocs{0};
+static std::atomic<unsigned long long> GHeapBytes{0};
 
 void *operator new(std::size_t Sz) {
   GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
+  GHeapBytes.fetch_add(Sz, std::memory_order_relaxed);
   if (void *P = std::malloc(Sz ? Sz : 1))
     return P;
   throw std::bad_alloc();
@@ -66,6 +71,50 @@ TEST(AllocCeilingTest, FrontHalfStaysUnderCeiling) {
   // A zero count would mean the override is not linked in and the ceiling
   // checks nothing.
   EXPECT_GT(Delta, 0u);
+}
+
+/// Heap bytes requested by the analysis half (SCCP, dominators, loops, and
+/// the classifier with exit-value materialization, as one-shot bivc and the
+/// daemon run it) per IR instruction of the analyzed function.
+double analysisBytesPerInstr(const std::string &Source) {
+  std::vector<std::string> Errors;
+  std::optional<ivclass::AnalyzedProgram> P =
+      ivclass::parseSource(Source, Errors);
+  EXPECT_TRUE(P.has_value());
+  if (!P)
+    return 0;
+  ivclass::PipelineOptions PO;
+  PO.VerifyEach = false;
+  PO.Analysis.MaterializeExitValues = true;
+  unsigned long long Before = GHeapBytes.load(std::memory_order_relaxed);
+  ivclass::analyzeParsed(*P, PO);
+  unsigned long long Delta =
+      GHeapBytes.load(std::memory_order_relaxed) - Before;
+  return double(Delta) / double(P->F->instructionCount());
+}
+
+/// Per-instruction analysis bytes may grow at most this much from a 50-deep
+/// to a 200-deep nest.  Per-loop state sized to the whole function grows
+/// as loops x function size and reads about 2.05 here; state sized to each
+/// loop reads about 1.0, like the single-loop chains below.
+constexpr double MaxNestBytesGrowth = 1.3;
+
+TEST(AllocCeilingTest, AnalysisBytesPerInstrFlatOnDeepNests) {
+  double Nest50 = analysisBytesPerInstr(bench::genNest(50));
+  double Nest200 = analysisBytesPerInstr(bench::genNest(200));
+  double Chain1k = analysisBytesPerInstr(bench::genLinearChain(1024));
+  double Chain4k = analysisBytesPerInstr(bench::genLinearChain(4096));
+  std::printf("analysis heap bytes per instr: nest 50 %.0f, nest 200 %.0f "
+              "(x%.2f); chain 1024 %.0f, chain 4096 %.0f (x%.2f)\n",
+              Nest50, Nest200, Nest200 / Nest50, Chain1k, Chain4k,
+              Chain4k / Chain1k);
+  ASSERT_GT(Nest50, 0.0);
+  ASSERT_GT(Chain1k, 0.0);
+  // The single-loop control: one loop, so nothing can scale with loops.
+  EXPECT_LE(Chain4k / Chain1k, MaxNestBytesGrowth);
+  EXPECT_LE(Nest200 / Nest50, MaxNestBytesGrowth)
+      << "analysis memory grows faster than the SSA graph on deep nests "
+         "(per-loop state sized to the function?)";
 }
 
 } // namespace

@@ -1,6 +1,9 @@
 //===- tests/analysis_test.cpp - Dominators and loop info unit tests ----------===//
 
 #include "TestUtil.h"
+#include "WorkloadGen.h"
+#include "ir/IRBuilder.h"
+#include <set>
 
 using namespace biv;
 using namespace biv::testutil;
@@ -262,4 +265,226 @@ TEST(LoopInfoTest, LoopBlocksAndContains) {
   EXPECT_FALSE(L->contains(F->entry()));
   for (ir::BasicBlock *BB : L->exitBlocks())
     EXPECT_FALSE(L->contains(BB));
+}
+
+namespace {
+
+/// Brute-force natural loops, one per back-edge target: the body is every
+/// block that reaches a latch without passing the header, kept as a set.
+struct BruteLoop {
+  const ir::BasicBlock *Header;
+  std::set<unsigned> Body;
+};
+
+std::vector<BruteLoop> bruteLoops(const ir::Function &F,
+                                  const DominatorTree &DT) {
+  std::vector<BruteLoop> Result;
+  for (const ir::BasicBlock *H : DT.rpo()) {
+    BruteLoop L{H, {H->id()}};
+    std::vector<const ir::BasicBlock *> Work;
+    bool HasBackEdge = false;
+    for (const ir::BasicBlock *P : H->predecessors())
+      if (reachable(F, P) && DT.dominates(H, P)) {
+        HasBackEdge = true;
+        if (L.Body.insert(P->id()).second)
+          Work.push_back(P);
+      }
+    if (!HasBackEdge)
+      continue;
+    while (!Work.empty()) {
+      const ir::BasicBlock *BB = Work.back();
+      Work.pop_back();
+      if (BB == H)
+        continue;
+      for (const ir::BasicBlock *P : BB->predecessors())
+        if (L.Body.insert(P->id()).second)
+          Work.push_back(P);
+    }
+    Result.push_back(std::move(L));
+  }
+  return Result;
+}
+
+/// Checks every LoopInfo answer against bruteLoops(): the loop set, each
+/// body (function-ordered in blocks(), exact under contains() for every
+/// block), parents as the smallest strictly enclosing loop, depths,
+/// loopFor(), and innerToOuter() as the reverse of header RPO.
+void expectMatchesBruteForce(const ir::Function &F, const DominatorTree &DT,
+                             const LoopInfo &LI) {
+  std::vector<BruteLoop> Brute = bruteLoops(F, DT);
+  ASSERT_EQ(LI.loops().size(), Brute.size());
+  std::vector<size_t> FuncPos(F.numBlocks());
+  for (size_t I = 0; I < F.blocks().size(); ++I)
+    FuncPos[F.blocks()[I]->id()] = I;
+  auto bruteOf = [&](const Loop *L) -> const BruteLoop & {
+    return Brute[L->index()];
+  };
+  for (size_t I = 0; I < Brute.size(); ++I) {
+    const Loop *L = LI.loops()[I].get();
+    ASSERT_EQ(L->index(), I);
+    ASSERT_EQ(L->header(), Brute[I].Header);
+    const std::set<unsigned> &Body = Brute[I].Body;
+    std::set<unsigned> Got;
+    for (size_t K = 0; K < L->blocks().size(); ++K) {
+      Got.insert(L->blocks()[K]->id());
+      if (K > 0) {
+        EXPECT_LT(FuncPos[L->blocks()[K - 1]->id()],
+                  FuncPos[L->blocks()[K]->id()])
+            << L->name() << " blocks out of function order";
+      }
+    }
+    EXPECT_EQ(Got, Body) << L->name();
+    for (const ir::BasicBlock *BB : F.blocks())
+      EXPECT_EQ(L->contains(BB), Body.count(BB->id()) != 0)
+          << L->name() << " contains " << BB->name();
+
+    // Parent: the smallest other loop whose body holds the header.
+    const Loop *Parent = nullptr;
+    unsigned Depth = 1;
+    for (const auto &O : LI.loops()) {
+      if (O.get() == L || !bruteOf(O.get()).Body.count(L->header()->id()))
+        continue;
+      ++Depth;
+      if (!Parent || bruteOf(O.get()).Body.size() < bruteOf(Parent).Body.size())
+        Parent = O.get();
+    }
+    EXPECT_EQ(L->parent(), Parent) << L->name();
+    EXPECT_EQ(L->depth(), Depth) << L->name();
+    for (const auto &O : LI.loops()) {
+      bool Inside = O.get() == L;
+      for (const Loop *P = O->parent(); P && !Inside; P = P->parent())
+        Inside = P == L;
+      EXPECT_EQ(L->encloses(O.get()), Inside) << L->name() << " / " << O->name();
+    }
+  }
+  for (const ir::BasicBlock *BB : F.blocks()) {
+    const Loop *Innermost = nullptr;
+    for (const auto &O : LI.loops())
+      if (bruteOf(O.get()).Body.count(BB->id()) &&
+          (!Innermost ||
+           bruteOf(O.get()).Body.size() < bruteOf(Innermost).Body.size()))
+        Innermost = O.get();
+    EXPECT_EQ(LI.loopFor(BB), Innermost) << BB->name();
+  }
+  std::vector<Loop *> Order = LI.innerToOuter();
+  ASSERT_EQ(Order.size(), Brute.size());
+  for (size_t I = 0; I < Order.size(); ++I)
+    EXPECT_EQ(Order[I]->header(), Brute[Brute.size() - 1 - I].Header);
+}
+
+std::vector<std::string> names(const std::vector<ir::BasicBlock *> &Blocks) {
+  std::vector<std::string> Out;
+  for (const ir::BasicBlock *BB : Blocks)
+    Out.push_back(std::string(BB->name()));
+  return Out;
+}
+
+} // namespace
+
+TEST(LoopInfoTest, MultiLatchLoop) {
+  // entry -> head; head -> a | exit; a -> head | b; b -> head.  The front
+  // end never emits two latches, so the CFG is built by hand.
+  ir::Function F("multi");
+  ir::BasicBlock *Entry = F.createBlock("entry");
+  ir::BasicBlock *Head = F.createBlock("L.header");
+  ir::BasicBlock *A = F.createBlock("a");
+  ir::BasicBlock *B = F.createBlock("b");
+  ir::BasicBlock *Exit = F.createBlock("exit");
+  ir::Argument *N = F.addArgument("n");
+  ir::IRBuilder IB(F, Entry);
+  IB.br(Head);
+  IB.setInsertBlock(Head);
+  IB.condBr(IB.binary(ir::Opcode::CmpGT, N, IB.constInt(0)), A, Exit);
+  IB.setInsertBlock(A);
+  IB.condBr(IB.binary(ir::Opcode::CmpGT, N, IB.constInt(1)), Head, B);
+  IB.setInsertBlock(B);
+  IB.br(Head);
+  IB.setInsertBlock(Exit);
+  IB.ret(N);
+  F.recomputePreds();
+
+  DominatorTree DT(F);
+  LoopInfo LI(F, DT);
+  expectMatchesBruteForce(F, DT, LI);
+  ASSERT_EQ(LI.loops().size(), 1u);
+  Loop *L = LI.byName("L");
+  ASSERT_NE(L, nullptr);
+  EXPECT_EQ(L->latches().size(), 2u);
+  EXPECT_EQ(names(L->blocks()),
+            (std::vector<std::string>{"L.header", "a", "b"}));
+  EXPECT_EQ(L->parent(), nullptr);
+  EXPECT_EQ(L->depth(), 1u);
+  EXPECT_EQ(L->preheader(), Entry);
+  EXPECT_FALSE(L->contains(Entry));
+  EXPECT_FALSE(L->contains(Exit));
+  EXPECT_EQ(names(L->exitBlocks()), (std::vector<std::string>{"exit"}));
+}
+
+TEST(LoopInfoTest, SiblingLoopsMatchBruteForce) {
+  auto F = build("func f(n) {"
+                 "  for L1: i = 1 to n {"
+                 "    for L2: j = 1 to n { A[i, j] = 0; }"
+                 "    for L3: j = 1 to n { A[i, j] = 1; }"
+                 "  }"
+                 "  for L4: i = 1 to n { B[i] = 0; }"
+                 "  return 0;"
+                 "}");
+  DominatorTree DT(*F);
+  LoopInfo LI(*F, DT);
+  expectMatchesBruteForce(*F, DT, LI);
+  Loop *L1 = LI.byName("L1"), *L2 = LI.byName("L2"), *L3 = LI.byName("L3"),
+       *L4 = LI.byName("L4");
+  EXPECT_EQ(L2->depth(), 2u);
+  EXPECT_EQ(L4->depth(), 1u);
+  EXPECT_FALSE(L2->contains(L3->header()));
+  EXPECT_FALSE(L3->contains(L2->header()));
+  EXPECT_FALSE(L1->contains(L4->header()));
+  EXPECT_EQ(L1->subLoops(), (std::vector<Loop *>{L2, L3}));
+  EXPECT_EQ(LI.topLevel(), (std::vector<Loop *>{L1, L4}));
+  // Headers in RPO are L1, L4, L2, L3 (the CFG walk leaves L1 by its exit
+  // edge first); reversed, every child still precedes its parent.
+  EXPECT_EQ(LI.innerToOuter(), (std::vector<Loop *>{L3, L2, L4, L1}));
+}
+
+TEST(LoopInfoTest, BreakExitMatchesBruteForce) {
+  auto F = build("func f(n) {"
+                 "  x = 0;"
+                 "  loop L1 {"
+                 "    x = x + 1;"
+                 "    if (x > n) break;"
+                 "    for L2: j = 1 to n { x = x + 2; if (x > 3 * n) break; }"
+                 "  }"
+                 "  return x;"
+                 "}");
+  DominatorTree DT(*F);
+  LoopInfo LI(*F, DT);
+  expectMatchesBruteForce(*F, DT, LI);
+  Loop *L1 = LI.byName("L1"), *L2 = LI.byName("L2");
+  ASSERT_TRUE(L1 && L2);
+  EXPECT_EQ(L2->parent(), L1);
+  // L2 leaves through its test and its break, both into L1.
+  EXPECT_GE(L2->exitingBlocks().size(), 2u);
+  for (ir::BasicBlock *BB : L2->exitBlocks())
+    EXPECT_TRUE(L1->contains(BB));
+  // L1's break leaves the function's only loop nest.
+  ASSERT_EQ(L1->exitBlocks().size(), 1u);
+  EXPECT_EQ(LI.loopFor(L1->exitBlocks()[0]), nullptr);
+}
+
+TEST(LoopInfoTest, DeepNestMatchesBruteForce) {
+  constexpr unsigned Depth = 200;
+  auto F = build(bench::genNest(Depth));
+  DominatorTree DT(*F);
+  LoopInfo LI(*F, DT);
+  expectMatchesBruteForce(*F, DT, LI);
+  ASSERT_EQ(LI.loops().size(), Depth);
+  std::vector<Loop *> Order = LI.innerToOuter();
+  for (unsigned D = 1; D <= Depth; ++D) {
+    Loop *L = LI.byName("L" + std::to_string(D));
+    ASSERT_NE(L, nullptr);
+    EXPECT_EQ(L->depth(), D);
+    EXPECT_EQ(L->parent(), D == 1 ? nullptr
+                                  : LI.byName("L" + std::to_string(D - 1)));
+    EXPECT_EQ(Order[Depth - D], L);
+  }
 }

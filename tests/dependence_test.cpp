@@ -346,6 +346,40 @@ TEST(DependenceTest, NoWriteNoDependence) {
   EXPECT_TRUE(R.Deps.empty()) << "read-only arrays produce no dependences";
 }
 
+TEST(DependenceTest, ArraysReportInCreationOrder) {
+  // Dependences are grouped per array, and the groups follow
+  // Function::arrays(), the order the arrays were created in (lowering
+  // creates them sorted by name) -- not the order of first reference, and
+  // not their addresses, which vary with heap history in a long-lived
+  // process.
+  const char *Src = "func f(n) {"
+                    "  for L: i = 1 to n {"
+                    "    Z[i] = Z[i - 1] + 1;"
+                    "    A[i] = A[i - 2] + 1;"
+                    "    M[i] = M[i - 3] + 1;"
+                    "  }"
+                    "  return 0;"
+                    "}";
+  DepRun R = analyzeDeps(Src);
+  ASSERT_EQ(R.A.F->arrays().size(), 3u);
+  EXPECT_EQ(R.A.F->arrays()[0]->name(), "A");
+  EXPECT_EQ(R.A.F->arrays()[1]->name(), "M");
+  EXPECT_EQ(R.A.F->arrays()[2]->name(), "Z");
+  std::vector<std::string> Groups;
+  for (const Dependence &D : R.Deps) {
+    std::string Name(D.Src->array()->name());
+    EXPECT_EQ(Name, std::string(D.Dst->array()->name()));
+    if (Groups.empty() || Groups.back() != Name)
+      Groups.push_back(Name);
+  }
+  EXPECT_EQ(Groups, (std::vector<std::string>{"A", "M", "Z"}));
+  // A second analysis in this process renders the same report.
+  DepRun Again = analyzeDeps(Src);
+  DependenceAnalyzer DA1(*R.A.IA), DA2(*Again.A.IA);
+  std::vector<Dependence> D1 = DA1.analyze(), D2 = DA2.analyze();
+  EXPECT_EQ(DA1.report(D1), DA2.report(D2));
+}
+
 TEST(DependenceTest, RandomizedIndependenceOracle) {
   // Sweep stride/offset combinations; every Independent verdict is checked
   // against a real execution.

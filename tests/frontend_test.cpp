@@ -1,5 +1,6 @@
 //===- tests/frontend_test.cpp - Lexer and parser unit tests ------------------===//
 
+#include "TestUtil.h"
 #include "frontend/Lexer.h"
 #include "frontend/Lowering.h"
 #include "frontend/Parser.h"
@@ -340,4 +341,87 @@ TEST(LoweringTest, DuplicateLoopLabel) {
                                         Errors);
   EXPECT_NE(F, nullptr);
   EXPECT_TRUE(Errors.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting limit
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Parses and lowers \p Src; returns its diagnostics (empty on success).
+std::vector<std::string> lowerDiagnostics(const std::string &Src) {
+  std::vector<std::string> Errors;
+  auto F = biv::frontend::parseAndLower(Src, Errors);
+  EXPECT_EQ(F == nullptr, !Errors.empty());
+  return Errors;
+}
+
+/// Expects exactly one diagnostic, the nesting-limit one for \p What.
+void expectTooDeep(const std::string &Src, const std::string &What) {
+  std::vector<std::string> Errors = lowerDiagnostics(Src);
+  ASSERT_EQ(Errors.size(), 1u) << (Errors.empty() ? "" : Errors.back());
+  EXPECT_NE(Errors[0].find(What + " nested deeper than " +
+                           std::to_string(MaxNestingDepth) + " levels"),
+            std::string::npos)
+      << Errors[0];
+}
+
+/// `x = n + 1 + ... + 1` with \p Ops additions: a tree Ops + 1 levels tall
+/// built without any parser recursion.
+std::string sumChain(unsigned Ops) {
+  std::string Src = "func f(n) { x = n";
+  for (unsigned I = 0; I < Ops; ++I)
+    Src += " + 1";
+  return Src + "; return x; }";
+}
+
+/// \p Count nested prefix operators \p Op (e.g. "-", "A[") around `n`,
+/// each closed by \p Close.
+std::string prefixNest(unsigned Count, const std::string &Op,
+                       const std::string &Close) {
+  std::string E;
+  for (unsigned I = 0; I < Count; ++I)
+    E += Op;
+  E += "n";
+  for (unsigned I = 0; I < Count; ++I)
+    E += Close;
+  return "func f(n) { x = " + E + "; return x; }";
+}
+
+} // namespace
+
+TEST(NestingLimitTest, ExpressionsAtTheLimitParseOneDeeperDoNot) {
+  using biv::testutil::deepExprSource;
+  const unsigned Max = MaxNestingDepth;
+  EXPECT_TRUE(lowerDiagnostics(deepExprSource(Max)).empty());
+  expectTooDeep(deepExprSource(Max + 1), "expression");
+  // Every way of nesting counts: a tall tree from a flat chain, unary
+  // minus, right-associative powers, and subscripts.
+  EXPECT_TRUE(lowerDiagnostics(sumChain(Max - 1)).empty());
+  expectTooDeep(sumChain(Max), "expression");
+  EXPECT_TRUE(lowerDiagnostics(prefixNest(Max - 1, "-", "")).empty());
+  expectTooDeep(prefixNest(Max, "-", ""), "expression");
+  EXPECT_TRUE(lowerDiagnostics(prefixNest(Max - 1, "n^", "")).empty());
+  expectTooDeep(prefixNest(Max, "n^", ""), "expression");
+  EXPECT_TRUE(lowerDiagnostics(prefixNest(Max - 1, "A[", "]")).empty());
+  expectTooDeep(prefixNest(Max, "A[", "]"), "expression");
+  // Far past the limit (a stack overflow before the limit existed): still
+  // one diagnostic, no crash.
+  expectTooDeep(deepExprSource(20000), "expression");
+}
+
+TEST(NestingLimitTest, StatementsAtTheLimitParseOneDeeperDoNot) {
+  using biv::testutil::deepStmtSource;
+  const unsigned Max = MaxNestingDepth;
+  for (bool Loops : {false, true}) {
+    EXPECT_TRUE(lowerDiagnostics(deepStmtSource(Max, Loops)).empty());
+    expectTooDeep(deepStmtSource(Max + 1, Loops), "statement");
+    expectTooDeep(deepStmtSource(20000, Loops), "statement");
+  }
+  // Braceless ifs nest through the same path.
+  std::string Src = "func f(n) { x = 0; ";
+  for (unsigned D = 0; D < Max; ++D)
+    Src += "if (n > 0) ";
+  expectTooDeep(Src + "x = 1; return x; }", "statement");
 }

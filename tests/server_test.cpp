@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+#include "frontend/Parser.h"
 #include "ivclass/Pipeline.h"
 #include "ivclass/Report.h"
 #include "server/Client.h"
@@ -281,6 +283,38 @@ TEST(ServerTest, ParseDiagnosticsComeBackAsAnalysisError) {
   Response R = callOk(S.socketPath(), "func broken( {");
   EXPECT_EQ(R.S, Status::AnalysisError);
   EXPECT_FALSE(R.Body.empty());
+  ASSERT_TRUE(S.drain(Err)) << Err;
+}
+
+TEST(ServerTest, TooDeepNestingIsRefusedDaemonKeepsServing) {
+  // 20000-deep parentheses used to overflow the worker's stack and take the
+  // daemon down.  Now the parser refuses them with a diagnostic, and the
+  // deepest nests it accepts run like any other request.
+  using testutil::deepExprSource;
+  using testutil::deepStmtSource;
+  std::string Dir = tempDir();
+  Server S(Dir + "/d.sock", ServerOptions());
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+
+  for (const std::string &Deep :
+       {deepExprSource(20000), deepStmtSource(20000),
+        deepExprSource(frontend::MaxNestingDepth + 1)}) {
+    Response R = callOk(S.socketPath(), Deep);
+    EXPECT_EQ(R.S, Status::AnalysisError);
+    EXPECT_NE(R.Body.find("nested deeper than"), std::string::npos) << R.Body;
+    Response After = callOk(S.socketPath(), SimpleSrc);
+    EXPECT_EQ(After.S, Status::Ok) << After.Body;
+    EXPECT_EQ(After.Body, oneShotReport(SimpleSrc));
+  }
+  for (const std::string &Deepest :
+       {deepExprSource(frontend::MaxNestingDepth),
+        deepStmtSource(frontend::MaxNestingDepth),
+        deepStmtSource(frontend::MaxNestingDepth, /*Loops=*/true)}) {
+    Response R = callOk(S.socketPath(), Deepest);
+    EXPECT_EQ(R.S, Status::Ok) << R.Body;
+    EXPECT_EQ(R.Body, oneShotReport(Deepest));
+  }
   ASSERT_TRUE(S.drain(Err)) << Err;
 }
 

@@ -228,11 +228,35 @@ elif [ "$CODE_SUMM_SAMPLES" != "$DOC_SUMM_SAMPLES" ]; then
   FAIL=1
 fi
 
+# 9. The parser's nesting limit: docs/LANGUAGE.md states the current
+# MaxNestingDepth in bold; src/frontend/Parser.h ships it, and the
+# frontend and server tests probe it at the limit and one past.
+CODE_NEST=$(sed -n \
+  's/.*MaxNestingDepth = \([0-9][0-9]*\);.*/\1/p' \
+  src/frontend/Parser.h)
+DOC_NEST=$(sed -n \
+  's/.*`MaxNestingDepth` (currently \*\*\([0-9][0-9]*\)\*\*.*/\1/p' \
+  docs/LANGUAGE.md)
+if [ -z "$CODE_NEST" ]; then
+  echo "docs_check: cannot find MaxNestingDepth in" \
+       "src/frontend/Parser.h" >&2
+  FAIL=1
+elif [ -z "$DOC_NEST" ]; then
+  echo "docs_check: docs/LANGUAGE.md does not document the current" \
+       "MaxNestingDepth" >&2
+  FAIL=1
+elif [ "$CODE_NEST" != "$DOC_NEST" ]; then
+  echo "docs_check: docs/LANGUAGE.md documents MaxNestingDepth" \
+       "$DOC_NEST but src/frontend/Parser.h says $CODE_NEST" >&2
+  FAIL=1
+fi
+
 if [ "$FAIL" = 0 ]; then
   echo "docs_check: OK ($(echo "$FLAGS" | wc -w) flags," \
        "$(echo "$PATHS" | wc -w) paths, cache salt $CODE_SALT," \
        "protocol version $CODE_PROTO, alloc ceiling $CODE_CEIL," \
        "fleet defaults $CODE_WORKERS/$CODE_CACHE_CAP," \
-       "summarizer $CODE_SUMM_PERIOD/$CODE_SUMM_SAMPLES verified)"
+       "summarizer $CODE_SUMM_PERIOD/$CODE_SUMM_SAMPLES," \
+       "nesting limit $CODE_NEST verified)"
 fi
 exit "$FAIL"

@@ -69,6 +69,20 @@ cmake --build "$BUILD" --target arena_test -j "$(nproc)" >/dev/null
 "$BUILD/tests/arena_test"
 echo "fuzz: arena/interner unit tests clean under ASan/UBSan"
 
+# Classifier and loop-nest slice: the per-loop classification tables keep
+# raw pointers into each table's pool, and the SSA graphs share one
+# seq-indexed scratch that every loop resets on the way out
+# (DESIGN.md §6), while LoopInfo answers membership from pre-order
+# intervals.  The classifier, nested-loop and loop-info suites run in the
+# instrumented tree so a stale pointer, a missed reset or an out-of-range
+# block id dies here under ASan/UBSan.
+cmake --build "$BUILD" --target ivclass_test ivclass_nested_test \
+  analysis_test -j "$(nproc)" >/dev/null
+"$BUILD/tests/ivclass_test" >/dev/null
+"$BUILD/tests/ivclass_nested_test" >/dev/null
+"$BUILD/tests/analysis_test" >/dev/null
+echo "fuzz: classifier/loop-nest suites clean under ASan/UBSan"
+
 # C-finite slice: the extension's focused suites (`ctest -L cfinite` in
 # tier-1) run in the instrumented tree, and a dedicated campaign slice must
 # report nonzero cfinite and partial oracle checks -- generator drift that
