@@ -82,6 +82,26 @@ DominatorTree::DominatorTree(const ir::Function &F) : F(F) {
     IDom[RPO[I]->id()] = static_cast<int>(Parent->id());
     Children[Parent->id()].push_back(RPO[I]);
   }
+
+  // Number the tree depth-first; unreachable blocks keep empty intervals.
+  DFS.assign(N, Interval());
+  unsigned Clock = 0;
+  std::vector<std::pair<const ir::BasicBlock *, size_t>> Stack;
+  Stack.reserve(RPO.size());
+  Stack.push_back({F.entry(), 0});
+  DFS[F.entry()->id()].In = Clock++;
+  while (!Stack.empty()) {
+    auto &[BB, Next] = Stack.back();
+    const std::vector<ir::BasicBlock *> &Kids = Children[BB->id()];
+    if (Next == Kids.size()) {
+      DFS[BB->id()].Out = Clock++;
+      Stack.pop_back();
+      continue;
+    }
+    const ir::BasicBlock *Kid = Kids[Next++];
+    DFS[Kid->id()].In = Clock++;
+    Stack.push_back({Kid, 0});
+  }
 }
 
 ir::BasicBlock *DominatorTree::idom(const ir::BasicBlock *BB) const {
@@ -93,17 +113,8 @@ bool DominatorTree::dominates(const ir::BasicBlock *A,
                               const ir::BasicBlock *B) const {
   if (RPONumber[A->id()] < 0 || RPONumber[B->id()] < 0)
     return false;
-  // Walk B's idom chain; RPO numbers strictly decrease along it.
-  const ir::BasicBlock *Cur = B;
-  while (Cur) {
-    if (Cur == A)
-      return true;
-    if (RPONumber[Cur->id()] < RPONumber[A->id()])
-      return false;
-    int Id = IDom[Cur->id()];
-    Cur = Id < 0 ? nullptr : F.blocks()[Id];
-  }
-  return false;
+  const Interval &IA = DFS[A->id()], &IB = DFS[B->id()];
+  return IA.In <= IB.In && IB.Out <= IA.Out;
 }
 
 bool DominatorTree::properlyDominates(const ir::BasicBlock *A,
@@ -125,14 +136,7 @@ bool DominatorTree::dominates(const ir::Instruction *Def,
     return true;
   if (!Def->isPhi() && I->isPhi())
     return false;
-  for (const ir::Instruction *Inst : *DefBB) {
-    if (Inst == Def)
-      return true;
-    if (Inst == I)
-      return false;
-  }
-  assert(false && "instructions not found in their parent block");
-  return false;
+  return DefBB->comesBefore(Def, I);
 }
 
 const std::vector<ir::BasicBlock *> &

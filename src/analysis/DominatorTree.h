@@ -37,14 +37,17 @@ public:
   /// Immediate dominator; null for the entry and for unreachable blocks.
   ir::BasicBlock *idom(const ir::BasicBlock *BB) const;
 
-  /// Reflexive dominance.
+  /// Reflexive dominance; O(1) from the blocks' intervals in a depth-first
+  /// walk of the tree.
   bool dominates(const ir::BasicBlock *A, const ir::BasicBlock *B) const;
   bool properlyDominates(const ir::BasicBlock *A,
                          const ir::BasicBlock *B) const;
 
   /// True when instruction \p Def 's value is available at \p I (same block
   /// and earlier, or defining block properly dominates; phis are treated as
-  /// defined at the top of their block).
+  /// defined at the top of their block).  O(1): same-block pairs compare
+  /// the block's instruction order stamps (BasicBlock::comesBefore), so
+  /// instructions inserted after the tree was built are ordered correctly.
   bool dominates(const ir::Instruction *Def, const ir::Instruction *I) const;
 
   /// Children in the dominator tree.
@@ -60,6 +63,12 @@ private:
   std::vector<int> RPONumber;            // by block id; -1 = unreachable
   std::vector<ir::BasicBlock *> RPO;
   std::vector<std::vector<ir::BasicBlock *>> Children;
+  /// By block id: entry and exit times of a depth-first walk of the tree;
+  /// A dominates B iff A's interval contains B's.
+  struct Interval {
+    unsigned In = 0, Out = 0;
+  };
+  std::vector<Interval> DFS;
 };
 
 /// Dominance frontiers DF(B) for every reachable block.

@@ -12,6 +12,7 @@ Instruction *BasicBlock::append(Instruction *I) {
          "appending past a terminator");
   I->setParent(this);
   Insts.push_back(arena(), I);
+  OrderValid = false;
   return I;
 }
 
@@ -19,6 +20,7 @@ Instruction *BasicBlock::insertAt(size_t Pos, Instruction *I) {
   assert(Pos <= Insts.size() && "insert position out of range");
   I->setParent(this);
   Insts.insert(arena(), Pos, I);
+  OrderValid = false;
   return I;
 }
 
@@ -34,6 +36,7 @@ Instruction *BasicBlock::take(Instruction *I) {
     if (Insts[Idx] == I) {
       Insts.erase(Idx);
       I->setParent(nullptr);
+      OrderValid = false;
       return I;
     }
   assert(false && "instruction not in this block");
@@ -41,6 +44,18 @@ Instruction *BasicBlock::take(Instruction *I) {
 }
 
 void BasicBlock::addPred(BasicBlock *BB) { Preds.push_back(arena(), BB); }
+
+bool BasicBlock::comesBefore(const Instruction *A, const Instruction *B) const {
+  assert(A->parent() == this && B->parent() == this &&
+         "order query on instructions of another block");
+  if (!OrderValid) {
+    unsigned Pos = 0;
+    for (Instruction *I : Insts)
+      I->OrderStamp = Pos++;
+    OrderValid = true;
+  }
+  return A->OrderStamp < B->OrderStamp;
+}
 
 Instruction *BasicBlock::terminator() const {
   if (Insts.empty() || !Insts.back()->isTerminator())

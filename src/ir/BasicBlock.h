@@ -63,6 +63,7 @@ public:
   /// call erase() per instruction shift the tail each time and go quadratic
   /// when most of a block dies.
   template <typename Pred> unsigned removeInstrsIf(Pred ShouldRemove) {
+    OrderValid = false;
     size_t Out = 0;
     for (size_t Idx = 0; Idx < Insts.size(); ++Idx) {
       Instruction *I = Insts[Idx];
@@ -76,6 +77,13 @@ public:
     Insts.truncate(Out);
     return Removed;
   }
+
+  /// True when \p A comes before \p B; both must be in this block.  O(1)
+  /// from per-instruction order stamps, which are retaken (O(block size))
+  /// on the first query after the instruction list changed.  The stamps
+  /// are written on a const block, so concurrent queries on one block are
+  /// not supported.
+  bool comesBefore(const Instruction *A, const Instruction *B) const;
 
   /// Returns the terminator, or null for an unfinished block.
   Instruction *terminator() const;
@@ -109,6 +117,9 @@ private:
   Function *Parent;
   support::ArenaVector<Instruction *> Insts;
   support::ArenaVector<BasicBlock *> Preds;
+  /// False once Insts changed after the instructions' order stamps were
+  /// taken.
+  mutable bool OrderValid = false;
 };
 
 } // namespace ir

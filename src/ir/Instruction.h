@@ -117,6 +117,8 @@ public:
   }
 
 private:
+  friend class BasicBlock;
+
   support::Arena *A;
   Opcode Op;
   support::ArenaVector<Value *> Operands;
@@ -125,6 +127,9 @@ private:
   Var *Variable = nullptr;
   Array *Arr = nullptr;
   unsigned Seq = NoSeq;
+  /// Position in the parent block when the block last stamped its order
+  /// (BasicBlock::comesBefore); stale while the block's stamps are.
+  unsigned OrderStamp = 0;
 };
 
 } // namespace ir

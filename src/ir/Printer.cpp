@@ -9,13 +9,16 @@ std::string str(std::string_view S) { return std::string(S); }
 } // namespace
 
 void Printer::numberValues() {
+  Names.resize(F.instrSeqBound());
   unsigned Next = 0;
   for (const BasicBlock *BB : F.blocks())
     for (const Instruction *I : *BB) {
+      assert(I->seq() < Names.size() && "instruction seq past the bound");
+      std::string &N = Names[I->seq()];
       if (!I->name().empty())
-        Names[I] = "%" + ::str(I->name());
+        (N = "%") += I->name();
       else
-        Names[I] = "%t" + std::to_string(Next++);
+        (N = "%t") += std::to_string(Next++);
     }
 }
 
@@ -26,8 +29,10 @@ std::string Printer::nameOf(const Value *V) const {
     return ::str(A->name());
   if (isa<UndefValue>(V))
     return "undef";
-  auto It = Names.find(V);
-  return It != Names.end() ? It->second : "%<unknown>";
+  const auto *I = cast<Instruction>(V);
+  if (I->seq() < Names.size() && !Names[I->seq()].empty())
+    return Names[I->seq()];
+  return "%<unknown>";
 }
 
 std::string Printer::str(const Instruction *I) const {

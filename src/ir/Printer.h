@@ -14,8 +14,8 @@
 #define BEYONDIV_IR_PRINTER_H
 
 #include "ir/Function.h"
-#include <map>
 #include <string>
+#include <vector>
 
 namespace biv {
 namespace ir {
@@ -39,7 +39,9 @@ private:
   void numberValues();
 
   const Function &F;
-  std::map<const Value *, std::string> Names;
+  /// Instruction names indexed by Instruction::seq(); empty for seqs that
+  /// belong to no instruction in a block.
+  std::vector<std::string> Names;
 };
 
 /// Convenience: print the whole function.

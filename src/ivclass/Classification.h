@@ -175,7 +175,14 @@ public:
   /// Renders the paper's tuple syntax, e.g. "(L18, k2+2, 2)" for linear,
   /// "(L14, 2, 3/2, 1/2)" for polynomial, "wrap-around(order 1, linear ...)"
   /// etc.  \p Namer resolves affine symbols (usually to IR value names).
-  std::string str(const SymbolNamer &Namer = SymbolNamer()) const;
+  std::string str(const SymbolNamer &Namer = SymbolNamer()) const {
+    std::string Out;
+    appendTo(Out, Namer);
+    return Out;
+  }
+  /// Appends the str() rendering to \p Out.
+  void appendTo(std::string &Out,
+                const SymbolNamer &Namer = SymbolNamer()) const;
 };
 
 } // namespace ivclass

@@ -7,7 +7,7 @@ using namespace biv::ivclass;
 
 namespace {
 
-void trimTrailingZeros(std::vector<Affine> &P) {
+template <typename Coeffs> void trimTrailingZeros(Coeffs &P) {
   while (!P.empty() && P.back().isZero())
     P.pop_back();
 }
@@ -16,14 +16,18 @@ void trimTrailingZeros(std::vector<Affine> &P) {
 
 void ClosedForm::normalize() {
   trimTrailingZeros(Poly);
-  for (auto It = Geo.begin(); It != Geo.end();) {
+  if (!Geo)
+    return;
+  for (auto It = Geo->begin(); It != Geo->end();) {
     assert(It->first != 0 && It->first != 1 && "degenerate exponential base");
     trimTrailingZeros(It->second);
     if (It->second.empty())
-      It = Geo.erase(It);
+      It = Geo->erase(It);
     else
       ++It;
   }
+  if (Geo->empty())
+    Geo.reset();
 }
 
 ClosedForm ClosedForm::constant(Affine C) {
@@ -54,7 +58,9 @@ ClosedForm ClosedForm::make(std::vector<Affine> Poly,
 ClosedForm ClosedForm::makeExp(std::vector<Affine> Poly,
                                std::map<int64_t, ExpPoly> Geo) {
   ClosedForm F;
-  F.Poly = std::move(Poly);
+  F.Poly.reserve(Poly.size());
+  for (Affine &C : Poly)
+    F.Poly.push_back(std::move(C));
   for (auto &[Base, Coeff] : Geo) {
     if (Base == 1) {
       // Base-1 exponentials are plain polynomial terms.
@@ -64,7 +70,7 @@ ClosedForm ClosedForm::makeExp(std::vector<Affine> Poly,
         F.Poly[J] += Coeff[J];
       continue;
     }
-    F.Geo[Base] = std::move(Coeff);
+    F.geoMut()[Base] = std::move(Coeff);
   }
   F.normalize();
   return F;
@@ -72,7 +78,7 @@ ClosedForm ClosedForm::makeExp(std::vector<Affine> Poly,
 
 Affine ClosedForm::initialValue() const {
   Affine V = coeff(0);
-  for (const auto &[Base, Coeff] : Geo) {
+  for (const auto &[Base, Coeff] : geoTerms()) {
     (void)Base; // b^0 == 1 and h^j vanishes at h = 0 for j > 0
     if (!Coeff.empty())
       V += Coeff[0];
@@ -84,11 +90,11 @@ ClosedForm ClosedForm::operator-() const {
   ClosedForm F;
   for (const Affine &C : Poly)
     F.Poly.push_back(-C);
-  for (const auto &[Base, Coeff] : Geo) {
+  for (const auto &[Base, Coeff] : geoTerms()) {
     ExpPoly N;
     for (const Affine &C : Coeff)
       N.push_back(-C);
-    F.Geo[Base] = std::move(N);
+    F.geoMut()[Base] = std::move(N);
   }
   return F;
 }
@@ -99,8 +105,8 @@ ClosedForm ClosedForm::operator+(const ClosedForm &RHS) const {
     F.Poly.resize(RHS.Poly.size());
   for (size_t K = 0; K < RHS.Poly.size(); ++K)
     F.Poly[K] += RHS.Poly[K];
-  for (const auto &[Base, Coeff] : RHS.Geo) {
-    ExpPoly &Dst = F.Geo[Base];
+  for (const auto &[Base, Coeff] : RHS.geoTerms()) {
+    ExpPoly &Dst = F.geoMut()[Base];
     if (Dst.size() < Coeff.size())
       Dst.resize(Coeff.size());
     for (size_t J = 0; J < Coeff.size(); ++J)
@@ -118,8 +124,8 @@ ClosedForm ClosedForm::operator-(const ClosedForm &RHS) const {
     F.Poly.resize(RHS.Poly.size());
   for (size_t K = 0; K < RHS.Poly.size(); ++K)
     F.Poly[K] -= RHS.Poly[K];
-  for (const auto &[Base, Coeff] : RHS.Geo) {
-    ExpPoly &Dst = F.Geo[Base]; // default-constructs empty when absent
+  for (const auto &[Base, Coeff] : RHS.geoTerms()) {
+    ExpPoly &Dst = F.geoMut()[Base]; // default-constructs empty when absent
     if (Dst.size() < Coeff.size())
       Dst.resize(Coeff.size());
     for (size_t J = 0; J < Coeff.size(); ++J)
@@ -135,11 +141,11 @@ ClosedForm ClosedForm::operator*(const Rational &Scale) const {
     return F;
   for (const Affine &C : Poly)
     F.Poly.push_back(C * Scale);
-  for (const auto &[Base, Coeff] : Geo) {
+  for (const auto &[Base, Coeff] : geoTerms()) {
     ExpPoly N;
     for (const Affine &C : Coeff)
       N.push_back(C * Scale);
-    F.Geo[Base] = std::move(N);
+    F.geoMut()[Base] = std::move(N);
   }
   return F;
 }
@@ -164,18 +170,21 @@ std::optional<ClosedForm> ClosedForm::mulChecked(const ClosedForm &RHS) const {
   }
   // Adds Coeff * h^Shift * Base^h into the accumulating form, folding
   // base 1 into the polynomial part.
-  auto addExp = [&](int64_t Base, const ExpPoly &Coeff,
-                    size_t Shift) -> bool {
-    std::vector<Affine> &Dst = Base == 1 ? F.Poly : F.Geo[Base];
-    if (Dst.size() < Coeff.size() + Shift)
-      Dst.resize(Coeff.size() + Shift);
-    for (size_t J = 0; J < Coeff.size(); ++J)
-      Dst[J + Shift] += Coeff[J];
-    return true;
+  auto addExp = [&](int64_t Base, const ExpPoly &Coeff, size_t Shift) {
+    auto addInto = [&](auto &Dst) {
+      if (Dst.size() < Coeff.size() + Shift)
+        Dst.resize(Coeff.size() + Shift);
+      for (size_t J = 0; J < Coeff.size(); ++J)
+        Dst[J + Shift] += Coeff[J];
+    };
+    if (Base == 1)
+      addInto(F.Poly);
+    else
+      addInto(F.geoMut()[Base]);
   };
   // Exponential x exponential: bases multiply, coefficients convolve.
-  for (const auto &[B1, C1] : Geo)
-    for (const auto &[B2, C2] : RHS.Geo) {
+  for (const auto &[B1, C1] : geoTerms())
+    for (const auto &[B2, C2] : RHS.geoTerms()) {
       ExpPoly Conv(C1.size() + C2.size() - 1, Affine());
       for (size_t I = 0; I < C1.size(); ++I)
         for (size_t J = 0; J < C2.size(); ++J) {
@@ -190,7 +199,7 @@ std::optional<ClosedForm> ClosedForm::mulChecked(const ClosedForm &RHS) const {
     }
   // Polynomial x exponential cross terms: h^k * (p(h) * b^h) shifts the
   // coefficient polynomial by k.
-  auto crossTerms = [&](const std::vector<Affine> &P,
+  auto crossTerms = [&](const PolyCoeffs &P,
                         const std::map<int64_t, ExpPoly> &G) -> bool {
     for (size_t K = 0; K < P.size(); ++K) {
       if (P[K].isZero())
@@ -208,7 +217,8 @@ std::optional<ClosedForm> ClosedForm::mulChecked(const ClosedForm &RHS) const {
     }
     return true;
   };
-  if (!crossTerms(Poly, RHS.Geo) || !crossTerms(RHS.Poly, Geo))
+  if (!crossTerms(Poly, RHS.geoTerms()) ||
+      !crossTerms(RHS.Poly, geoTerms()))
     return std::nullopt;
   F.normalize();
   return F;
@@ -222,7 +232,7 @@ Affine ClosedForm::evaluateAt(int64_t H) const {
     V += Poly[K] * HPow;
     HPow *= Rational(H);
   }
-  for (const auto &[Base, Coeff] : Geo) {
+  for (const auto &[Base, Coeff] : geoTerms()) {
     Rational BPow = Rational(Base).pow(H);
     Rational HP(1);
     for (size_t J = 0; J < Coeff.size(); ++J) {
@@ -237,8 +247,7 @@ std::optional<ClosedForm> ClosedForm::shifted(int64_t Delta) const {
   ClosedForm F;
   // Substitutes (h + Delta)^k via binomial expansion into Dst (index = new
   // power of h), scaling every contribution by Scale.
-  auto shiftPoly = [&](const std::vector<Affine> &Src,
-                       std::vector<Affine> &Dst, const Rational &Scale) {
+  auto shiftPoly = [&](const auto &Src, auto &Dst, const Rational &Scale) {
     if (Dst.size() < Src.size())
       Dst.resize(Src.size());
     for (size_t K = 0; K < Src.size(); ++K) {
@@ -258,12 +267,12 @@ std::optional<ClosedForm> ClosedForm::shifted(int64_t Delta) const {
   };
   shiftPoly(Poly, F.Poly, Rational(1));
   // Exponential part: p(h+D) * b^(h+D) = (p(h+D) * b^D) * b^h.
-  for (const auto &[Base, Coeff] : Geo) {
+  for (const auto &[Base, Coeff] : geoTerms()) {
     if (Base == 0)
       return std::nullopt;
     ExpPoly Dst;
     shiftPoly(Coeff, Dst, Rational(Base).pow(Delta));
-    F.Geo[Base] = std::move(Dst);
+    F.geoMut()[Base] = std::move(Dst);
   }
   F.normalize();
   return F;
@@ -273,8 +282,7 @@ std::optional<ClosedForm> ClosedForm::atLinear(int64_t K, int64_t P) const {
   assert(K >= 1 && P >= 0 && "stretch needs a forward affine reindexing");
   // Substitutes (K*c + P)^k via binomial expansion into Dst (index = power
   // of c), scaling every contribution by Scale.
-  auto stretchPoly = [&](const std::vector<Affine> &Src,
-                         std::vector<Affine> &Dst, const Rational &Scale) {
+  auto stretchPoly = [&](const auto &Src, auto &Dst, const Rational &Scale) {
     if (Dst.size() < Src.size())
       Dst.resize(Src.size());
     for (size_t N = 0; N < Src.size(); ++N) {
@@ -295,7 +303,7 @@ std::optional<ClosedForm> ClosedForm::atLinear(int64_t K, int64_t P) const {
   stretchPoly(Poly, NewPoly, Rational(1));
   std::map<int64_t, ExpPoly> NewGeo;
   // p(h) * b^h at h = K*c+P is (p(K*c+P) * b^P) * (b^K)^c.
-  for (const auto &[Base, Coeff] : Geo) {
+  for (const auto &[Base, Coeff] : geoTerms()) {
     Rational Stretched = Rational(Base).pow(K);
     if (!Stretched.isInteger())
       return std::nullopt;
@@ -349,7 +357,7 @@ bool ClosedForm::provablyNonNegative() const {
     if (!V || V->isNegative())
       return false;
   }
-  for (const auto &[Base, Coeff] : Geo) {
+  for (const auto &[Base, Coeff] : geoTerms()) {
     if (Base <= 0)
       return false;
     for (const Affine &C : Coeff) {
@@ -361,56 +369,71 @@ bool ClosedForm::provablyNonNegative() const {
   return true;
 }
 
-std::string ClosedForm::str(const SymbolNamer &Namer) const {
-  if (isZero())
-    return "0";
-  std::string Out;
-  auto addTerm = [&](const Affine &Coeff, const std::string &Basis) {
-    std::string CS = Coeff.str(Namer);
-    bool Leading = Out.empty();
-    bool Negated = false;
-    if (Coeff.isConstant() && Coeff.constantPart().isNegative()) {
-      CS = (-Coeff).str(Namer);
-      Negated = true;
+void ClosedForm::appendTo(std::string &Out, const SymbolNamer &Namer) const {
+  if (isZero()) {
+    Out += '0';
+    return;
+  }
+  const size_t Start = Out.size();
+  // Appends "h^K" (nothing for K == 0).
+  auto appendHPow = [&](size_t K) {
+    if (K == 0)
+      return;
+    Out += 'h';
+    if (K > 1) {
+      Out += '^';
+      Out += std::to_string(K);
     }
-    if (!Leading)
+  };
+  // Appends Coeff * h^K, times Base^h when \p Base is given.
+  auto addTerm = [&](const Affine &Coeff, size_t K, const int64_t *Base) {
+    const bool Negated =
+        Coeff.isConstant() && Coeff.constantPart().isNegative();
+    if (Out.size() != Start)
       Out += Negated ? " - " : " + ";
     else if (Negated)
-      Out += "-";
-    if (Basis.empty()) {
-      Out += CS;
+      Out += '-';
+    const size_t CoeffAt = Out.size();
+    if (Negated)
+      Out += (-Coeff.constantPart()).str();
+    else
+      Coeff.appendTo(Out, Namer);
+    if (K == 0 && !Base)
       return;
-    }
+    const std::string_view CS(Out.data() + CoeffAt, Out.size() - CoeffAt);
     if (CS == "1") {
-      Out += Basis;
-      return;
+      Out.resize(CoeffAt);
+    } else {
+      // Parenthesize multi-term coefficients.
+      if (CS.find(' ') != std::string_view::npos) {
+        Out.insert(CoeffAt, 1, '(');
+        Out += ')';
+      }
+      Out += '*';
     }
-    // Parenthesize multi-term coefficients.
-    if (CS.find(' ') != std::string::npos)
-      CS = "(" + CS + ")";
-    Out += CS + "*" + Basis;
-  };
-  auto hPow = [](size_t K) -> std::string {
-    return K == 0 ? "" : (K == 1 ? "h" : "h^" + std::to_string(K));
+    appendHPow(K);
+    if (Base) {
+      if (K != 0)
+        Out += '*';
+      if (*Base < 0)
+        Out += '(';
+      Out += std::to_string(*Base);
+      if (*Base < 0)
+        Out += ')';
+      Out += "^h";
+    }
   };
   for (size_t K = 0; K < Poly.size(); ++K) {
     if (Poly[K].isZero())
       continue;
-    addTerm(Poly[K], hPow(K));
+    addTerm(Poly[K], K, nullptr);
   }
   // Bases ascend (int64-keyed map), coefficient powers ascend within one
   // base: the order is a function of the form's value, never of pointers.
-  for (const auto &[Base, Coeff] : Geo) {
-    std::string BaseStr = Base < 0 ? "(" + std::to_string(Base) + ")"
-                                   : std::to_string(Base);
+  for (const auto &[Base, Coeff] : geoTerms())
     for (size_t J = 0; J < Coeff.size(); ++J) {
       if (Coeff[J].isZero())
         continue;
-      std::string Basis = hPow(J);
-      if (!Basis.empty())
-        Basis += "*";
-      addTerm(Coeff[J], Basis + BaseStr + "^h");
+      addTerm(Coeff[J], J, &Base);
     }
-  }
-  return Out;
 }

@@ -28,7 +28,9 @@
 
 #include "support/Affine.h"
 #include "support/Rational.h"
+#include "support/SmallVector.h"
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,6 +42,10 @@ namespace ivclass {
 /// multiplying b^h.  Like the plain polynomial part, index = power of h.
 using ExpPoly = std::vector<Affine>;
 
+/// Coefficients of the polynomial part, index = power of h.  Invariants and
+/// linear tuples (degree <= 1) keep theirs inline, without a heap block.
+using PolyCoeffs = SmallVector<Affine, 2>;
+
 /// value(h) = sum_k poly[k] * h^k  +  sum_b (sum_j geo[b][j] * h^j) * b^h.
 ///
 /// Invariants: the polynomial coefficient list has no trailing zeros;
@@ -50,6 +56,18 @@ class ClosedForm {
 public:
   /// Constructs the zero form.
   ClosedForm() = default;
+  ClosedForm(const ClosedForm &O)
+      : Poly(O.Poly),
+        Geo(O.Geo ? std::make_unique<GeoMap>(*O.Geo) : nullptr) {}
+  ClosedForm(ClosedForm &&) noexcept = default;
+  ClosedForm &operator=(const ClosedForm &O) {
+    if (this != &O) {
+      Poly = O.Poly;
+      Geo = O.Geo ? std::make_unique<GeoMap>(*O.Geo) : nullptr;
+    }
+    return *this;
+  }
+  ClosedForm &operator=(ClosedForm &&) noexcept = default;
 
   /// The constant (loop-invariant) form \p C.
   static ClosedForm constant(Affine C);
@@ -70,17 +88,17 @@ public:
   static ClosedForm makeExp(std::vector<Affine> Poly,
                             std::map<int64_t, ExpPoly> Geo);
 
-  bool isZero() const { return Poly.empty() && Geo.empty(); }
-  bool isInvariant() const { return degree() == 0 && Geo.empty(); }
-  bool isLinear() const { return degree() <= 1 && Geo.empty(); }
-  bool isPolynomial() const { return Geo.empty(); }
-  bool hasExponential() const { return !Geo.empty(); }
+  bool isZero() const { return Poly.empty() && !Geo; }
+  bool isInvariant() const { return degree() == 0 && !Geo; }
+  bool isLinear() const { return degree() <= 1 && !Geo; }
+  bool isPolynomial() const { return !Geo; }
+  bool hasExponential() const { return bool(Geo); }
 
   /// True when some exponential term carries a non-constant coefficient
   /// polynomial (e.g. h*2^h) -- the c-finite extension beyond the paper's
   /// geometric class.
   bool hasPolyExponential() const {
-    for (const auto &[Base, Coeff] : Geo)
+    for (const auto &[Base, Coeff] : geoTerms())
       if (Coeff.size() > 1)
         return true;
     return false;
@@ -105,12 +123,15 @@ public:
     return coeff(1);
   }
 
-  const std::map<int64_t, ExpPoly> &geoTerms() const { return Geo; }
+  const std::map<int64_t, ExpPoly> &geoTerms() const {
+    static const GeoMap None;
+    return Geo ? *Geo : None;
+  }
 
   /// Coefficient of h^J * Base^h (zero when absent).
   Affine geoCoeff(int64_t Base, unsigned J = 0) const {
-    auto It = Geo.find(Base);
-    if (It == Geo.end() || J >= It->second.size())
+    auto It = geoTerms().find(Base);
+    if (It == geoTerms().end() || J >= It->second.size())
       return Affine();
     return It->second[J];
   }
@@ -118,8 +139,8 @@ public:
   /// Degree of the coefficient polynomial on Base^h (0 when absent or
   /// constant).
   unsigned geoDegree(int64_t Base) const {
-    auto It = Geo.find(Base);
-    return It == Geo.end() || It->second.size() <= 1
+    auto It = geoTerms().find(Base);
+    return It == geoTerms().end() || It->second.size() <= 1
                ? 0
                : unsigned(It->second.size() - 1);
   }
@@ -164,7 +185,7 @@ public:
   bool provablyNonNegative() const;
 
   bool operator==(const ClosedForm &RHS) const {
-    return Poly == RHS.Poly && Geo == RHS.Geo;
+    return Poly == RHS.Poly && geoTerms() == RHS.geoTerms();
   }
   bool operator!=(const ClosedForm &RHS) const { return !(*this == RHS); }
 
@@ -172,13 +193,31 @@ public:
   /// "1 + 2*h*2^h".  Term order is fixed -- polynomial powers ascending,
   /// then bases ascending with coefficient powers ascending -- so the
   /// rendering never depends on pointer or insertion order.
-  std::string str(const SymbolNamer &Namer = SymbolNamer()) const;
+  std::string str(const SymbolNamer &Namer = SymbolNamer()) const {
+    std::string Out;
+    appendTo(Out, Namer);
+    return Out;
+  }
+  /// Appends the str() rendering to \p Out.
+  void appendTo(std::string &Out,
+                const SymbolNamer &Namer = SymbolNamer()) const;
 
 private:
-  void normalize();
+  using GeoMap = std::map<int64_t, ExpPoly>;
 
-  std::vector<Affine> Poly;
-  std::map<int64_t, ExpPoly> Geo;
+  void normalize();
+  /// The exponential terms for writing, created on first use.
+  GeoMap &geoMut() {
+    if (!Geo)
+      Geo = std::make_unique<GeoMap>();
+    return *Geo;
+  }
+
+  PolyCoeffs Poly;
+  /// Exponential terms; null when there are none, as in every invariant and
+  /// polynomial form, so those forms stay small.  normalize() never leaves
+  /// an empty map behind.
+  std::unique_ptr<GeoMap> Geo;
 };
 
 } // namespace ivclass

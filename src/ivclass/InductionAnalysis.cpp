@@ -5,10 +5,11 @@
 #include "ivclass/SSAGraph.h"
 #include "ivclass/Summarize.h"
 #include "ir/AffineOrder.h"
+#include "support/SmallVector.h"
 #include "support/Stats.h"
 #include <algorithm>
+#include <iterator>
 #include <optional>
-#include <set>
 #include <unordered_set>
 
 using namespace biv;
@@ -40,11 +41,16 @@ void ClassTable::rehash(size_t NewCap) {
     slotFor(Entries[E].first) = E;
 }
 
+ClassTable::~ClassTable() {
+  for (const auto &[V, C] : Entries)
+    C->~Classification();
+}
+
 Classification *ClassTable::find(const ir::Value *V) {
   if (Index.empty())
     return nullptr;
   uint32_t Slot = slotFor(V);
-  return Slot == EmptySlot ? nullptr : &Pool[Slot];
+  return Slot == EmptySlot ? nullptr : at(Slot);
 }
 
 Classification &ClassTable::getOrCreate(const ir::Value *V, bool &Created) {
@@ -52,32 +58,61 @@ Classification &ClassTable::getOrCreate(const ir::Value *V, bool &Created) {
     rehash(Index.empty() ? 16 : Index.size() * 2);
   uint32_t &Slot = slotFor(V);
   Created = Slot == EmptySlot;
-  if (Created) {
-    Slot = uint32_t(Entries.size());
-    Entries.push_back({V, &Pool.emplace_back()});
-  }
-  return Pool[Slot];
+  if (!Created)
+    return *at(Slot);
+  const size_t Pos = Entries.size();
+  if (Pos % ChunkEntries == 0)
+    Chunks.push_back(std::make_unique_for_overwrite<Chunk>());
+  Classification *C = new (at(Pos)) Classification();
+  Slot = uint32_t(Pos);
+  Entries.push_back({V, C});
+  return *C;
 }
 
 namespace {
 
+/// A sorted set of SSA-graph node indices.
+using NodeSet = SmallVector<unsigned, 6>;
+
+void addNode(NodeSet &S, unsigned N) {
+  auto It = std::lower_bound(S.begin(), S.end(), N);
+  if (It != S.end() && *It == N)
+    return;
+  const size_t Pos = size_t(It - S.begin());
+  S.push_back(N);
+  std::rotate(S.begin() + Pos, S.end() - 1, S.end());
+}
+
+void addNodes(NodeSet &S, const NodeSet &O) {
+  if (O.empty())
+    return;
+  NodeSet U;
+  U.reserve(S.size() + O.size());
+  std::set_union(S.begin(), S.end(), O.begin(), O.end(),
+                 std::back_inserter(U));
+  S = std::move(U);
+}
+
 /// A symbolic value during SCR evaluation: A * X + B(h), where X is the
 /// value of the region's loop-header phi on the current iteration.
-/// Through records which SCR nodes this path's value passed through; it
-/// feeds the paper's per-member strictness argument (Figure 10: "if the k3
-/// assignment occurs more than once, it must assign a larger value each
-/// time").
+/// Through records which SCR nodes (by SSA-graph node index) this path's
+/// value passed through; it feeds the paper's per-member strictness
+/// argument (Figure 10: "if the k3 assignment occurs more than once, it
+/// must assign a larger value each time").
 struct LinTerm {
   Rational A;
   ClosedForm B;
-  std::set<const ir::Instruction *> Through;
+  NodeSet Through;
 
   bool operator==(const LinTerm &O) const { return A == O.A && B == O.B; }
 };
 
 /// The set of possible symbolic values of a node (one per control path
 /// through the loop body); nullopt = not expressible.
-using SymSet = std::vector<LinTerm>;
+using SymSet = SmallVector<LinTerm, 1>;
+
+/// The loop-header phis of one region.
+using PhiList = SmallVector<ir::Instruction *, 4>;
 
 /// Classifies one loop.  Owned state is sized to the loop; long-lived
 /// results land in the analysis' ClassMap.
@@ -88,7 +123,8 @@ public:
                  unsigned &FamilyId, InductionAnalysis::Stats &S,
                  std::vector<unsigned> &SeqToNode)
       : IA(IA), L(L), G(*L, IA.loopInfo(), SeqToNode), Map(Map), Opts(Opts),
-        NextFamilyId(FamilyId), S(S), InSCR(G.nodes().size(), 0) {
+        NextFamilyId(FamilyId), S(S), InSCR(G.nodes().size(), 0),
+        PathMemo(G.nodes().size()) {
     // Arrays written inside the loop (for the array-load invariance rule).
     for (ir::BasicBlock *BB : L->blocks())
       for (const auto &I : *BB)
@@ -117,6 +153,10 @@ public:
           setClass(I, Classification::unknown());
         ++S.UnknownRegions;
       }
+      // Symbolic values are relative to one region's header phi.
+      for (unsigned N : MemoTouched)
+        PathMemo[N] = MemoSlot();
+      MemoTouched.clear();
     }
   }
 
@@ -473,7 +513,7 @@ private:
   }
 
   void classifyRegionImpl(const SCR &Region) {
-    std::vector<ir::Instruction *> HeaderPhis;
+    PhiList HeaderPhis;
     bool OnlyPhisAndCopies = true;
     for (ir::Instruction *N : Region.Nodes) {
       if (N->isPhi() && N->parent() == L->header())
@@ -507,7 +547,7 @@ private:
   }
 
   bool onlyHeaderPhis(const SCR &Region,
-                      const std::vector<ir::Instruction *> &HeaderPhis) {
+                      const PhiList &HeaderPhis) {
     size_t NonCopy = 0;
     for (ir::Instruction *N : Region.Nodes)
       if (N->opcode() != ir::Opcode::Copy)
@@ -526,17 +566,16 @@ private:
   }
 
   bool classifyPeriodic(const SCR &Region,
-                        const std::vector<ir::Instruction *> &HeaderPhis) {
+                        const PhiList &HeaderPhis) {
     const unsigned P = HeaderPhis.size();
     // Follow the carried chain from a canonical start; it must visit every
     // header phi exactly once and return.
+    // Ring[d] is the member at phase d.
     std::vector<ir::Instruction *> Ring;
-    std::map<const ir::Instruction *, unsigned> PhaseOf;
     ir::Instruction *Cur = HeaderPhis.front();
     for (unsigned Step = 0; Step < P; ++Step) {
-      if (PhaseOf.count(Cur))
+      if (std::find(Ring.begin(), Ring.end(), Cur) != Ring.end())
         return false;
-      PhaseOf[Cur] = Step;
       Ring.push_back(Cur);
       ir::Value *Init = nullptr, *Carried = nullptr;
       if (!splitHeaderPhi(Cur, Init, Carried))
@@ -567,9 +606,10 @@ private:
     for (ir::Instruction *N : Region.Nodes)
       if (N->opcode() == ir::Opcode::Copy) {
         auto *Src = ir::dyn_cast<ir::Instruction>(chaseCopies(N));
-        auto It = PhaseOf.find(Src);
-        if (It != PhaseOf.end())
-          setClass(N, Classification::periodic(L, FamilyId, P, It->second,
+        auto It = std::find(Ring.begin(), Ring.end(), Src);
+        if (It != Ring.end())
+          setClass(N, Classification::periodic(L, FamilyId, P,
+                                               unsigned(It - Ring.begin()),
                                                Inits));
         else
           setClass(N, Classification::unknown());
@@ -581,34 +621,44 @@ private:
   // Single-header-phi regions: symbolic evaluation + recurrence solving
   //===------------------------------------------------------------------===//
 
-  using EvalMemo =
-      std::unordered_map<const ir::Instruction *, std::optional<SymSet>>;
+  /// evalValue's result for a region node (nullopt = not expressible);
+  /// Seen tells a computed nullopt from a slot never visited.
+  struct MemoSlot {
+    bool Seen = false;
+    std::optional<SymSet> Set;
+  };
 
-  std::optional<SymSet> evalValue(ir::Value *V, ir::Instruction *H,
-                                  EvalMemo &Memo) {
+  /// The memoized symbolic value of region node \p N, or null when it was
+  /// never evaluated or is not expressible.
+  const SymSet *memoized(const ir::Instruction *N) const {
+    const MemoSlot &M = PathMemo[G.nodeIndex(N)];
+    return M.Seen && M.Set ? &*M.Set : nullptr;
+  }
+
+  std::optional<SymSet> evalValue(ir::Value *V, ir::Instruction *H) {
     if (V == H)
       return SymSet{{Rational(1), ClosedForm(), {}}};
     auto *I = ir::dyn_cast<ir::Instruction>(V);
     if (I && inSCR(I))
-      return evalInst(I, H, Memo);
+      return evalInst(I, H);
     const Classification &C = classOf(V);
     if (C.hasClosedForm())
       return SymSet{{Rational(0), C.Form, {}}};
     return std::nullopt;
   }
 
-  std::optional<SymSet> evalInst(ir::Instruction *I, ir::Instruction *H,
-                                 EvalMemo &Memo) {
-    auto It = Memo.find(I);
-    if (It != Memo.end())
-      return It->second;
+  std::optional<SymSet> evalInst(ir::Instruction *I, ir::Instruction *H) {
+    const unsigned Node = G.nodeIndex(I);
+    if (PathMemo[Node].Seen)
+      return PathMemo[Node].Set;
     // Break accidental cycles defensively (a cycle not through H would be a
     // malformed graph); mark failure first, overwrite on success.
-    Memo[I] = std::nullopt;
+    PathMemo[Node].Seen = true;
+    MemoTouched.push_back(Node);
 
     auto combine2 = [&](auto &&Fn) -> std::optional<SymSet> {
-      std::optional<SymSet> LHS = evalValue(I->operand(0), H, Memo);
-      std::optional<SymSet> RHS = evalValue(I->operand(1), H, Memo);
+      std::optional<SymSet> LHS = evalValue(I->operand(0), H);
+      std::optional<SymSet> RHS = evalValue(I->operand(1), H);
       if (!LHS || !RHS)
         return std::nullopt;
       SymSet Out;
@@ -618,7 +668,7 @@ private:
           if (!T)
             return std::nullopt;
           T->Through = X.Through;
-          T->Through.insert(Y.Through.begin(), Y.Through.end());
+          addNodes(T->Through, Y.Through);
           addTerm(Out, std::move(*T));
         }
       if (Out.size() > Opts.MaxSymbolicPaths)
@@ -632,7 +682,7 @@ private:
       SymSet Out;
       bool OK = true;
       for (ir::Value *Op : I->operands()) {
-        std::optional<SymSet> OpSet = evalValue(Op, H, Memo);
+        std::optional<SymSet> OpSet = evalValue(Op, H);
         if (!OpSet) {
           OK = false;
           break;
@@ -645,11 +695,11 @@ private:
       break;
     }
     case ir::Opcode::Copy: {
-      Result = evalValue(I->operand(0), H, Memo);
+      Result = evalValue(I->operand(0), H);
       break;
     }
     case ir::Opcode::Neg: {
-      std::optional<SymSet> Sub = evalValue(I->operand(0), H, Memo);
+      std::optional<SymSet> Sub = evalValue(I->operand(0), H);
       if (Sub) {
         SymSet Out;
         for (const LinTerm &T : *Sub)
@@ -705,8 +755,8 @@ private:
     }
     if (Result)
       for (LinTerm &T : *Result)
-        T.Through.insert(I);
-    Memo[I] = Result;
+        addNode(T.Through, Node);
+    PathMemo[Node].Set = Result;
     return Result;
   }
 
@@ -715,7 +765,7 @@ private:
       if (E == T) {
         // Same symbolic value via another path: union the node sets (a
         // larger Through only weakens strictness claims -- conservative).
-        E.Through.insert(T.Through.begin(), T.Through.end());
+        addNodes(E.Through, T.Through);
         return;
       }
     Set.push_back(std::move(T));
@@ -731,15 +781,13 @@ private:
     Affine Init = InitC.isInvariant() ? InitC.Form.initialValue()
                                       : Affine::symbol(InitV);
 
-    EvalMemo Memo;
-    Memo.reserve(Region.Nodes.size() * 2);
-    std::optional<SymSet> Carried = evalValue(CarriedV, H, Memo);
+    std::optional<SymSet> Carried = evalValue(CarriedV, H);
     if (!Carried || Carried->empty()) {
       // The carried update itself is inexpressible (e.g. X' = X*X + m), but
       // members of the region whose value is free of the header phi are
       // still exact: project the solvable sub-recurrence out.
       markAllUnknown(Region);
-      sweepPartialMembers(Region, H, Memo, /*Partial=*/true);
+      sweepPartialMembers(Region, H, /*Partial=*/true);
       return;
     }
 
@@ -753,13 +801,12 @@ private:
         for (ir::Instruction *N : Region.Nodes) {
           if (N == H)
             continue;
-          auto MIt = Memo.find(N);
-          if (MIt == Memo.end() || !MIt->second ||
-              MIt->second->size() != 1) {
+          const SymSet *MS = memoized(N);
+          if (!MS || MS->size() != 1) {
             setClass(N, Classification::unknown());
             continue;
           }
-          const LinTerm &M = MIt->second->front();
+          const LinTerm &M = MS->front();
           setClass(N, Classification::fromForm(L, *HForm * M.A + M.B));
         }
         return;
@@ -777,7 +824,7 @@ private:
             setClass(N, Classification::unknown());
         // Members free of the phi are exact for every h (not projections of
         // an unsolved region -- the region head is classified).
-        sweepPartialMembers(Region, H, Memo, /*Partial=*/false);
+        sweepPartialMembers(Region, H, /*Partial=*/false);
         return;
       }
     }
@@ -785,22 +832,22 @@ private:
     // (section 4.4) over every possible per-iteration effect, then recover
     // exact forms for phi-free members.
     classifyMonotonic(Region, H, Init, *Carried);
-    sweepPartialMembers(Region, H, Memo, /*Partial=*/true);
+    sweepPartialMembers(Region, H, /*Partial=*/true);
   }
 
   /// Overwrites region members whose symbolic value has a zero coefficient
   /// on the header phi with their exact closed form.  \p Partial marks forms
   /// projected out of a region whose own update stayed unsolved.
   void sweepPartialMembers(const SCR &Region, const ir::Instruction *H,
-                           const EvalMemo &Memo, bool Partial) {
+                           bool Partial) {
     static const stats::Counter NumPartialMembers("ivclass.partial_members");
     for (ir::Instruction *N : Region.Nodes) {
       if (N == H)
         continue;
-      auto It = Memo.find(N);
-      if (It == Memo.end() || !It->second || It->second->size() != 1)
+      const SymSet *MS = memoized(N);
+      if (!MS || MS->size() != 1)
         continue;
-      const LinTerm &T = It->second->front();
+      const LinTerm &T = MS->front();
       if (!T.A.isZero())
         continue;
       Classification C = Classification::fromForm(L, T.B);
@@ -944,7 +991,7 @@ private:
   /// false when the region does not even evaluate to a linear system (the
   /// caller falls back to unknown).
   bool classifySystem(const SCR &Region,
-                      const std::vector<ir::Instruction *> &HeaderPhis) {
+                      const PhiList &HeaderPhis) {
     static const stats::Counter NumSystemRegions("ivclass.system_regions");
     const unsigned K = unsigned(HeaderPhis.size());
     if (K > 4)
@@ -1067,11 +1114,11 @@ private:
   /// move in direction \p Inc?  The paper's Figure 10 argument: when the
   /// node executes, the loop-header value must strictly advance before it
   /// can execute again.
-  static bool strictThrough(const ir::Instruction *N, const SymSet &Carried,
+  static bool strictThrough(unsigned N, const SymSet &Carried,
                             const Affine &Init, bool Inc) {
     bool Any = false;
     for (const LinTerm &T : Carried) {
-      if (!T.Through.count(N))
+      if (!std::binary_search(T.Through.begin(), T.Through.end(), N))
         continue;
       Any = true;
       MonoProof P = Inc ? proveIncreasing(T.A, T.B, Init)
@@ -1149,7 +1196,8 @@ private:
       // that pass through it; if all of those strictly advance the header
       // value, the node's observed sequence is strict even when the region
       // as a whole is not.
-      if (!NC.Strict && N != H && strictThrough(N, Carried, Init, Inc))
+      if (!NC.Strict && N != H &&
+          strictThrough(G.nodeIndex(N), Carried, Init, Inc))
         NC.Strict = true;
       setClass(N, NC);
     }
@@ -1171,6 +1219,10 @@ private:
   std::unordered_set<const ir::Array *> StoredArrays;
   /// Node index in G -> membership in the SCR currently being classified.
   std::vector<char> InSCR;
+  /// Node index in G -> evalValue's result within the current region; the
+  /// slots in MemoTouched are reset when the region is done.
+  std::vector<MemoSlot> PathMemo;
+  std::vector<unsigned> MemoTouched;
 };
 
 } // namespace
@@ -1274,8 +1326,9 @@ SymbolNamer InductionAnalysis::namer() const {
   };
 }
 
-std::string InductionAnalysis::strNested(const Classification &C,
-                                         unsigned Depth) {
+void InductionAnalysis::appendNested(std::string &Out,
+                                     const Classification &C,
+                                     unsigned Depth) {
   SymbolNamer N = [this, Depth](SymbolRef S) -> std::string {
     const auto *V = static_cast<const ir::Value *>(S);
     if (Depth > 0)
@@ -1288,7 +1341,7 @@ std::string InductionAnalysis::strNested(const Classification &C,
     return V->name().empty() ? std::string("<tmp>")
                              : std::string(V->name());
   };
-  return C.str(N);
+  C.appendTo(Out, N);
 }
 
 //===----------------------------------------------------------------------===//

@@ -29,7 +29,7 @@
 #include "ivclass/Classification.h"
 #include "ivclass/TripCount.h"
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -42,11 +42,17 @@ namespace ivclass {
 /// capacity, linear probing, at most 3/4 full) hashed on the dense
 /// Instruction::seq() for instructions and on the address for constants,
 /// arguments and undef; the index stores entry positions, so a probe
-/// compares values for identity.  Entries are pooled in a deque so
-/// references stay stable across inserts, and the insertion order is
-/// recorded so iteration is deterministic.
+/// compares values for identity.  Entries live in fixed-size chunks that
+/// are constructed in place on first touch, so references stay stable
+/// across inserts and a new entry costs no allocation of its own; the
+/// insertion order is recorded so iteration is deterministic.
 class ClassTable {
 public:
+  ClassTable() = default;
+  ClassTable(ClassTable &&) noexcept = default;
+  ClassTable &operator=(ClassTable &&) = delete;
+  ~ClassTable();
+
   /// The entry for \p V, or null when none has been recorded.
   Classification *find(const ir::Value *V);
 
@@ -62,14 +68,29 @@ public:
 
 private:
   static constexpr uint32_t EmptySlot = ~uint32_t(0);
+  static constexpr size_t ChunkEntries = 16;
+
+  /// Raw storage for ChunkEntries entries; Entries.size() of them, counted
+  /// across chunks in order, are constructed.
+  struct Chunk {
+    alignas(Classification) unsigned char Bytes[ChunkEntries *
+                                                sizeof(Classification)];
+  };
 
   /// The index slot holding \p V's entry position, or the empty slot where
   /// it belongs.  The index must be non-empty.
   uint32_t &slotFor(const ir::Value *V);
   void rehash(size_t NewCap);
 
+  /// Storage of the entry at insertion position \p Pos.
+  Classification *at(size_t Pos) const {
+    return reinterpret_cast<Classification *>(
+        Chunks[Pos / ChunkEntries]->Bytes +
+        (Pos % ChunkEntries) * sizeof(Classification));
+  }
+
   std::vector<uint32_t> Index;
-  std::deque<Classification> Pool;
+  std::vector<std::unique_ptr<Chunk>> Chunks;
   std::vector<std::pair<const ir::Value *, const Classification *>> Entries;
 };
 
@@ -157,7 +178,14 @@ public:
   /// Renders \p C with the paper's nested-tuple expansion: symbols that are
   /// themselves induction variables of enclosing loops print as tuples,
   /// e.g. "(L18, (L17, 0, 204), 2)".
-  std::string strNested(const Classification &C, unsigned Depth = 4);
+  std::string strNested(const Classification &C, unsigned Depth = 4) {
+    std::string Out;
+    appendNested(Out, C, Depth);
+    return Out;
+  }
+  /// Appends the strNested() rendering to \p Out.
+  void appendNested(std::string &Out, const Classification &C,
+                    unsigned Depth = 4);
 
   /// Classification of a value used by (but not belonging to) the SSA graph
   /// of \p L: constants and values defined outside \p L are invariants;

@@ -3,6 +3,7 @@
 #include "ivclass/Report.h"
 #include "ir/Printer.h"
 #include "support/Stats.h"
+#include <optional>
 
 using namespace biv;
 using namespace biv::ivclass;
@@ -35,24 +36,42 @@ std::string biv::ivclass::report(InductionAnalysis &IA,
                                  const ssa::SSAInfo *Info,
                                  const ReportOptions &Opts) {
   const analysis::LoopInfo &LI = IA.loopInfo();
-  ir::Printer P(IA.function());
+  const SymbolNamer Namer = IA.namer();
+  // The printer names every instruction of the function up front; the
+  // default report labels header phis by their source variable and never
+  // needs it, so it is built on the first label that does.
+  std::optional<ir::Printer> P;
+  auto nameOf = [&](const ir::Instruction *I) {
+    if (!P)
+      P.emplace(IA.function());
+    return P->nameOf(I);
+  };
   std::string Out;
   for (const auto &L : LI.loops()) {
-    Out += "loop " + L->name() + " (depth " +
-           std::to_string(L->depth()) + "): trip count " +
-           IA.tripCount(L.get()).str(IA.namer()) + "\n";
-    auto line = [&](const ir::Instruction *I, const std::string &Label) {
+    Out += "loop ";
+    Out += L->name();
+    Out += " (depth ";
+    Out += std::to_string(L->depth());
+    Out += "): trip count ";
+    Out += IA.tripCount(L.get()).str(Namer);
+    Out += '\n';
+    auto line = [&](const ir::Instruction *I, std::string_view Label) {
       const Classification &C = IA.classify(I, L.get());
-      std::string Tuple =
-          Opts.NestedTuples ? IA.strNested(C) : C.str(IA.namer());
-      Out += "  " + Label + ": " + Tuple + "\n";
+      Out += "  ";
+      Out += Label;
+      Out += ": ";
+      if (Opts.NestedTuples)
+        IA.appendNested(Out, C);
+      else
+        C.appendTo(Out, Namer);
+      Out += '\n';
     };
     for (ir::Instruction *Phi : L->header()->phis()) {
-      std::string Label = P.nameOf(Phi);
-      if (Info)
-        if (const ir::Var *V = Phi->variable())
-          Label = std::string(V->name());
-      line(Phi, Label);
+      const ir::Var *V = Info ? Phi->variable() : nullptr;
+      if (V)
+        line(Phi, V->name());
+      else
+        line(Phi, nameOf(Phi));
     }
     if (Opts.AllValues)
       for (ir::BasicBlock *BB : L->blocks()) {
@@ -63,7 +82,7 @@ std::string biv::ivclass::report(InductionAnalysis &IA,
             continue;
           if (I->isTerminator() || I->hasSideEffects())
             continue;
-          line(I, P.nameOf(I));
+          line(I, nameOf(I));
         }
       }
   }

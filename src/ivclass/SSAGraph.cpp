@@ -63,17 +63,20 @@ SSAGraph::~SSAGraph() {
     SeqToNode[I->seq()] = NoNode;
 }
 
-std::vector<SCR> SSAGraph::stronglyConnectedRegions() const {
+SCRList SSAGraph::stronglyConnectedRegions() const {
   // Iterative Tarjan so deep use chains in generated benchmarks cannot
-  // overflow the call stack.  All bookkeeping is flat, reserved storage;
-  // the only per-region allocation is the SCR node list itself.
+  // overflow the call stack.  All bookkeeping is flat, reserved storage,
+  // and so is the result: regions are slices of one node array.
   const unsigned N = Nodes.size();
   constexpr unsigned None = ~0u;
   std::vector<unsigned> Index(N, None), LowLink(N, None);
   std::vector<char> OnStack(N, 0);
   std::vector<unsigned> Stack;
   Stack.reserve(N);
-  std::vector<SCR> Result;
+  SCRList Result;
+  // Every node lands in exactly one region, so the array never reallocates
+  // and the slices taken below stay valid.
+  Result.Flat.reserve(N);
   unsigned NextIndex = 0;
 
   struct Frame {
@@ -114,15 +117,17 @@ std::vector<SCR> SSAGraph::stronglyConnectedRegions() const {
       }
       if (LowLink[V] != Index[V])
         continue;
-      SCR Region;
+      const size_t Begin = Result.Flat.size();
       while (true) {
         unsigned W = Stack.back();
         Stack.pop_back();
         OnStack[W] = 0;
-        Region.Nodes.push_back(Nodes[W]);
+        Result.Flat.push_back(Nodes[W]);
         if (W == V)
           break;
       }
+      SCR Region;
+      Region.Nodes = {Result.Flat.data() + Begin, Result.Flat.size() - Begin};
       if (Region.Nodes.size() > 1) {
         Region.Trivial = false;
       } else {
@@ -133,7 +138,7 @@ std::vector<SCR> SSAGraph::stronglyConnectedRegions() const {
           if (Op == Only)
             Region.Trivial = false;
       }
-      Result.push_back(std::move(Region));
+      Result.Regions.push_back(Region);
     }
   }
   return Result;

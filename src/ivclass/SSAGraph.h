@@ -31,6 +31,7 @@
 
 #include "analysis/LoopInfo.h"
 #include "ir/Function.h"
+#include <span>
 #include <vector>
 
 namespace biv {
@@ -38,10 +39,32 @@ namespace ivclass {
 
 /// One strongly connected region of the SSA graph.
 struct SCR {
-  std::vector<ir::Instruction *> Nodes;
+  /// The region's nodes: a view into the SCRList that holds the region.
+  std::span<ir::Instruction *const> Nodes;
 
   /// Trivial = single node without a self edge; never a recurrence.
   bool Trivial = true;
+};
+
+/// Strongly connected regions in Tarjan pop order.  Every region's node
+/// list is a slice of one array, so listing the regions costs two
+/// allocations however many there are.  Movable, not copyable: the
+/// regions point into the list's own array.
+class SCRList {
+public:
+  SCRList() = default;
+  SCRList(SCRList &&) = default;
+  SCRList(const SCRList &) = delete;
+  SCRList &operator=(const SCRList &) = delete;
+
+  std::vector<SCR>::const_iterator begin() const { return Regions.begin(); }
+  std::vector<SCR>::const_iterator end() const { return Regions.end(); }
+  size_t size() const { return Regions.size(); }
+
+private:
+  friend class SSAGraph;
+  std::vector<ir::Instruction *> Flat;
+  std::vector<SCR> Regions;
 };
 
 /// The SSA graph of one loop.
@@ -71,7 +94,7 @@ public:
 
   /// Strongly connected regions in Tarjan pop order: every SCR appears
   /// after all SCRs it (transitively) reads from.
-  std::vector<SCR> stronglyConnectedRegions() const;
+  SCRList stronglyConnectedRegions() const;
 
 private:
   const analysis::Loop &Loop;

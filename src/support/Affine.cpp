@@ -70,11 +70,45 @@ std::optional<Affine> Affine::mul(const Affine &A, const Affine &B) {
   return std::nullopt;
 }
 
-std::string Affine::str(const SymbolNamer &Namer) const {
-  std::string Out;
+void Affine::appendTo(std::string &Out, const SymbolNamer &Namer) const {
   auto nameOf = [&](SymbolRef Sym) {
     return Namer ? Namer(Sym) : std::string("sym");
   };
+  const bool Leading = Constant.isZero() && !Terms.empty();
+  if (!Leading)
+    Out += Constant.str();
+  auto addTerm = [&](const std::string &Name, const Rational &Coeff,
+                     bool First) {
+    if (First) {
+      if (Coeff == Rational(1)) {
+        Out += Name;
+      } else if (Coeff == Rational(-1)) {
+        Out += '-';
+        Out += Name;
+      } else {
+        Out += Coeff.str();
+        Out += '*';
+        Out += Name;
+      }
+      return;
+    }
+    Rational Abs = Coeff;
+    if (Coeff.isNegative()) {
+      Out += " - ";
+      Abs = -Coeff;
+    } else {
+      Out += " + ";
+    }
+    if (!Abs.isOne()) {
+      Out += Abs.str();
+      Out += '*';
+    }
+    Out += Name;
+  };
+  if (Terms.size() == 1) {
+    addTerm(nameOf(Terms.begin()->first), Terms.begin()->second, Leading);
+    return;
+  }
   // Render terms in (name, coefficient) order: Terms is keyed by symbol
   // pointer, and allocation order must never leak into output (reports are
   // byte-compared across batch worker counts and across runs).
@@ -88,24 +122,6 @@ std::string Affine::str(const SymbolNamer &Namer) const {
                 return A.first < B.first;
               return A.second < B.second;
             });
-  if (!Constant.isZero() || Terms.empty())
-    Out = Constant.str();
-  for (const auto &[Name, Coeff] : Ordered) {
-    if (Out.empty()) {
-      if (Coeff == Rational(1))
-        Out = Name;
-      else if (Coeff == Rational(-1))
-        Out = "-" + Name;
-      else
-        Out = Coeff.str() + "*" + Name;
-      continue;
-    }
-    if (Coeff.isNegative()) {
-      Rational Abs = -Coeff;
-      Out += Abs.isOne() ? " - " + Name : " - " + Abs.str() + "*" + Name;
-    } else {
-      Out += Coeff.isOne() ? " + " + Name : " + " + Coeff.str() + "*" + Name;
-    }
-  }
-  return Out;
+  for (size_t K = 0; K < Ordered.size(); ++K)
+    addTerm(Ordered[K].first, Ordered[K].second, Leading && K == 0);
 }

@@ -89,7 +89,14 @@ public:
 
   /// Renders the expression, e.g. "3/2 + 2*n".  Symbols are named by
   /// \p Namer, or printed as "sym" when none is given.
-  std::string str(const SymbolNamer &Namer = SymbolNamer()) const;
+  std::string str(const SymbolNamer &Namer = SymbolNamer()) const {
+    std::string Out;
+    appendTo(Out, Namer);
+    return Out;
+  }
+  /// Appends the str() rendering to \p Out.
+  void appendTo(std::string &Out,
+                const SymbolNamer &Namer = SymbolNamer()) const;
 
 private:
   Rational Constant;

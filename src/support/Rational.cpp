@@ -27,34 +27,44 @@ static int64_t narrow(__int128 V) {
   return static_cast<int64_t>(V);
 }
 
-Rational::Rational(int64_t N, int64_t D) {
-  assert(D != 0 && "rational with zero denominator");
-  // Normalize sign and reduce in 128 bits: N = INT64_MIN with D < 0 would
-  // overflow a plain int64 negation before the gcd could shrink it.
-  __int128 WN = N, WD = D;
-  if (WD < 0) {
-    WN = -WN;
-    WD = -WD;
-  }
-  __int128 A = WN < 0 ? -WN : WN, B = WD;
-  while (B != 0) {
-    __int128 T = A % B;
-    A = B;
-    B = T;
-  }
-  if (A > 1) {
-    WN /= A;
-    WD /= A;
-  }
-  Num = narrow(WN);
-  Den = narrow(WD);
+/// Binary (Stein) gcd of two magnitudes; gcd(0, B) == B.
+static uint64_t gcdU64(uint64_t A, uint64_t B) {
+  if (A == 0 || B == 0)
+    return A | B;
+  const int Shift = __builtin_ctzll(A | B);
+  A >>= __builtin_ctzll(A);
+  do {
+    B >>= __builtin_ctzll(B);
+    if (A > B) {
+      uint64_t T = A;
+      A = B;
+      B = T;
+    }
+    B -= A;
+  } while (B != 0);
+  return A << Shift;
 }
 
-static Rational makeNormalized(__int128 N, __int128 D) {
+Rational Rational::normalized(__int128 N, __int128 D) {
   assert(D != 0 && "rational with zero denominator");
+  // Normalize the sign in 128 bits: N = INT64_MIN with D < 0 would overflow
+  // a plain int64 negation before the gcd could shrink it.
   if (D < 0) {
     N = -N;
     D = -D;
+  }
+  if (N >= INT64_MIN && N <= INT64_MAX && D <= INT64_MAX) {
+    // Both halves already fit: one 64-bit gcd, and the quotients fit too.
+    int64_t N64 = static_cast<int64_t>(N), D64 = static_cast<int64_t>(D);
+    uint64_t NMag = N64 < 0 ? 0 - static_cast<uint64_t>(N64)
+                            : static_cast<uint64_t>(N64);
+    const int64_t G =
+        static_cast<int64_t>(gcdU64(NMag, static_cast<uint64_t>(D64)));
+    if (G > 1) {
+      N64 /= G;
+      D64 /= G;
+    }
+    return Rational(Reduced{}, N64, D64);
   }
   // Reduce in 128 bits before narrowing so transient wide values survive.
   __int128 A = N < 0 ? -N : N, B = D;
@@ -67,42 +77,57 @@ static Rational makeNormalized(__int128 N, __int128 D) {
     N /= A;
     D /= A;
   }
-  return Rational(narrow(N), narrow(D));
+  return Rational(Reduced{}, narrow(N), narrow(D));
 }
 
+Rational::Rational(int64_t N, int64_t D) { *this = normalized(N, D); }
+
 Rational Rational::operator-() const {
-  // -INT64_MIN/Den is not representable; route through the widening
-  // constructor path instead of negating in int64 (signed-overflow UB).
-  return makeNormalized(-static_cast<__int128>(Num), Den);
+  // -INT64_MIN/Den is not representable; route through the widening path
+  // instead of negating in int64 (signed-overflow UB).
+  if (Num == INT64_MIN)
+    return normalized(-static_cast<__int128>(Num), Den);
+  return Rational(Reduced{}, -Num, Den);
 }
 
 Rational Rational::operator+(const Rational &RHS) const {
-  return makeNormalized(static_cast<__int128>(Num) * RHS.Den +
-                            static_cast<__int128>(RHS.Num) * Den,
-                        static_cast<__int128>(Den) * RHS.Den);
+  int64_t Sum;
+  if (Den == 1 && RHS.Den == 1 && !__builtin_add_overflow(Num, RHS.Num, &Sum))
+    return Rational(Sum);
+  return normalized(static_cast<__int128>(Num) * RHS.Den +
+                        static_cast<__int128>(RHS.Num) * Den,
+                    static_cast<__int128>(Den) * RHS.Den);
 }
 
 Rational Rational::operator-(const Rational &RHS) const {
-  // Direct 128-bit subtraction, not *this + (-RHS): negating first throws
-  // for RHS touching INT64_MIN even when the difference itself fits (e.g.
-  // the trip-count margin (hi - lo) with lo == INT64_MIN).
-  return makeNormalized(static_cast<__int128>(Num) * RHS.Den -
-                            static_cast<__int128>(RHS.Num) * Den,
-                        static_cast<__int128>(Den) * RHS.Den);
+  // Direct subtraction, not *this + (-RHS): negating first throws for RHS
+  // touching INT64_MIN even when the difference itself fits (e.g. the
+  // trip-count margin (hi - lo) with lo == INT64_MIN).
+  int64_t Diff;
+  if (Den == 1 && RHS.Den == 1 && !__builtin_sub_overflow(Num, RHS.Num, &Diff))
+    return Rational(Diff);
+  return normalized(static_cast<__int128>(Num) * RHS.Den -
+                        static_cast<__int128>(RHS.Num) * Den,
+                    static_cast<__int128>(Den) * RHS.Den);
 }
 
 Rational Rational::operator*(const Rational &RHS) const {
-  return makeNormalized(static_cast<__int128>(Num) * RHS.Num,
-                        static_cast<__int128>(Den) * RHS.Den);
+  int64_t Prod;
+  if (Den == 1 && RHS.Den == 1 && !__builtin_mul_overflow(Num, RHS.Num, &Prod))
+    return Rational(Prod);
+  return normalized(static_cast<__int128>(Num) * RHS.Num,
+                    static_cast<__int128>(Den) * RHS.Den);
 }
 
 Rational Rational::operator/(const Rational &RHS) const {
   assert(!RHS.isZero() && "division by zero rational");
-  return makeNormalized(static_cast<__int128>(Num) * RHS.Den,
-                        static_cast<__int128>(Den) * RHS.Num);
+  return normalized(static_cast<__int128>(Num) * RHS.Den,
+                    static_cast<__int128>(Den) * RHS.Num);
 }
 
 bool Rational::operator<(const Rational &RHS) const {
+  if (Den == 1 && RHS.Den == 1)
+    return Num < RHS.Num;
   return static_cast<__int128>(Num) * RHS.Den <
          static_cast<__int128>(RHS.Num) * Den;
 }

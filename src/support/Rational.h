@@ -12,8 +12,12 @@
 /// variables by inverting small integer matrices; the inverses "will have
 /// only rational entries" (section 4.3), so the solver needs exact rational
 /// arithmetic.  Intermediate products are computed in 128 bits, gcd-reduced
-/// while still wide, and narrowed back to int64.  A reduced value that does
-/// not fit 64 bits throws RationalOverflow -- callers at analysis
+/// once while still wide, and narrowed back to int64.  Two fast paths keep
+/// the common case off 128-bit division: integer +, - and * run in int64
+/// with overflow checks (falling back to the wide path on overflow), and a
+/// wide result whose numerator and denominator already fit int64 is reduced
+/// with a 64-bit gcd.  A reduced value that does not fit 64 bits throws
+/// RationalOverflow -- callers at analysis
 /// boundaries (recurrence solver, trip counts, per-region classification)
 /// catch it and degrade to "unknown" instead of computing with a silently
 /// wrapped number.
@@ -100,6 +104,14 @@ public:
   std::string str() const;
 
 private:
+  /// Tag for the constructor that takes an already reduced pair.
+  struct Reduced {};
+  Rational(Reduced, int64_t N, int64_t D) : Num(N), Den(D) {}
+
+  /// Reduces \p N / \p D (\p D nonzero) once and narrows it to int64;
+  /// throws RationalOverflow when the reduced pair does not fit.
+  static Rational normalized(__int128 N, __int128 D);
+
   int64_t Num = 0;
   int64_t Den = 1;
 };

@@ -488,3 +488,78 @@ TEST(LoopInfoTest, DeepNestMatchesBruteForce) {
     EXPECT_EQ(Order[Depth - D], L);
   }
 }
+
+namespace {
+
+/// Brute-force instruction dominance with DominatorTree's conventions:
+/// across blocks the defining block must properly dominate; within a block
+/// phis come first and otherwise position decides.
+bool bruteInstrDominates(const ir::Function &F, const ir::Instruction *Def,
+                         const ir::Instruction *I) {
+  const ir::BasicBlock *DefBB = Def->parent(), *UseBB = I->parent();
+  if (DefBB != UseBB)
+    return bruteDominates(F, DefBB, UseBB);
+  if (Def == I)
+    return false;
+  if (Def->isPhi() != I->isPhi())
+    return Def->isPhi();
+  for (const ir::Instruction *Inst : *DefBB) {
+    if (Inst == Def)
+      return true;
+    if (Inst == I)
+      return false;
+  }
+  ADD_FAILURE() << "instruction missing from its block";
+  return false;
+}
+
+} // namespace
+
+TEST(DominatorTest, InstructionQueriesMatchBruteForceAcrossInsertions) {
+  const std::string Programs[] = {
+      bench::genMixedClasses(4),
+      bench::genNest(5),
+      "func c(n) { if (n > 0) { if (n > 1) { x = 1; } else { x = 2; } }"
+      " else { x = 3; } while (x < n) { x = x + 1; y = x * 2; } return x; }",
+  };
+  Lcg R(42);
+  for (const std::string &Src : Programs) {
+    auto F = build(Src);
+    ssa::buildSSA(*F);
+    DominatorTree DT(*F);
+    std::vector<ir::BasicBlock *> Blocks;
+    for (ir::BasicBlock *BB : F->blocks())
+      if (reachable(*F, BB))
+        Blocks.push_back(BB);
+    auto pick = [&](const ir::BasicBlock *BB) {
+      return BB->instructions()[size_t(R.range(0, int64_t(BB->size()) - 1))];
+    };
+    // Half the queries pair two instructions of one block.
+    auto query = [&](const char *When) {
+      for (unsigned Q = 0; Q < 2000; ++Q) {
+        const ir::BasicBlock *A = Blocks[R.range(0, Blocks.size() - 1)];
+        const ir::BasicBlock *B =
+            R.range(0, 1) ? A : Blocks[R.range(0, Blocks.size() - 1)];
+        const ir::Instruction *Def = pick(A), *Use = pick(B);
+        ASSERT_EQ(DT.dominates(Def, Use), bruteInstrDominates(*F, Def, Use))
+            << When << ": " << A->name() << " vs " << B->name();
+        ASSERT_EQ(DT.dominates(A, B), bruteDominates(*F, A, B))
+            << When << ": " << A->name() << " vs " << B->name();
+      }
+    };
+    query("before inserting");
+    // Insert after the phis and before the terminator, as exit-value
+    // materialization does, once the blocks' order stamps are taken.
+    for (unsigned K = 0; K < 40; ++K) {
+      ir::BasicBlock *BB = Blocks[R.range(0, Blocks.size() - 1)];
+      const int64_t Lo = int64_t(BB->phis().size());
+      const int64_t Hi = int64_t(BB->size()) - 1;
+      BB->insertAt(size_t(R.range(Lo, Hi)),
+                   F->newInstr(ir::Opcode::Add,
+                               {F->constant(K), F->constant(1)}));
+      if (K % 8 == 7)
+        query("after inserting");
+    }
+    query("after inserting");
+  }
+}

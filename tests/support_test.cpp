@@ -2,9 +2,13 @@
 
 #include "support/Affine.h"
 #include "support/Matrix.h"
+#include "support/Lcg.h"
 #include "support/Rational.h"
+#include "support/SmallVector.h"
 #include <gtest/gtest.h>
+#include <cstdio>
 #include <limits>
+#include <optional>
 
 using namespace biv;
 
@@ -121,6 +125,242 @@ TEST(RationalTest, ExtremeValuesThatDoFitAreExact) {
   EXPECT_EQ(Rational(Min).floor(), Min);
   EXPECT_EQ(Rational(Min).ceil(), Min);
   EXPECT_EQ(Rational(Min, 3).ceil(), Min / 3);
+}
+
+namespace {
+
+/// The arithmetic before the int64 fast paths, kept as the oracle: every
+/// result is gcd-reduced in 128 bits, narrowed, and reduced once more by
+/// the reducing constructor.  nullopt stands for RationalOverflow (the
+/// oracle does not throw, so the test pays for one exception per overflow,
+/// not two).
+struct RefRational {
+  int64_t N = 0;
+  int64_t D = 1;
+};
+using RefResult = std::optional<RefRational>;
+
+bool fitsInt64(__int128 V) {
+  return V >= std::numeric_limits<int64_t>::min() &&
+         V <= std::numeric_limits<int64_t>::max();
+}
+
+RefResult refReduce(__int128 N, __int128 D) {
+  if (D < 0) {
+    N = -N;
+    D = -D;
+  }
+  __int128 A = N < 0 ? -N : N, B = D;
+  while (B != 0) {
+    __int128 T = A % B;
+    A = B;
+    B = T;
+  }
+  if (A > 1) {
+    N /= A;
+    D /= A;
+  }
+  if (!fitsInt64(N) || !fitsInt64(D))
+    return std::nullopt;
+  return RefRational{int64_t(N), int64_t(D)};
+}
+
+RefResult refNormalized(__int128 N, __int128 D) {
+  RefResult R = refReduce(N, D);
+  return R ? refReduce(R->N, R->D) : R;
+}
+
+RefResult refAdd(RefRational A, RefRational B) {
+  return refNormalized(__int128(A.N) * B.D + __int128(B.N) * A.D,
+                       __int128(A.D) * B.D);
+}
+RefResult refSub(RefRational A, RefRational B) {
+  return refNormalized(__int128(A.N) * B.D - __int128(B.N) * A.D,
+                       __int128(A.D) * B.D);
+}
+RefResult refMul(RefRational A, RefRational B) {
+  return refNormalized(__int128(A.N) * B.N, __int128(A.D) * B.D);
+}
+RefResult refDiv(RefRational A, RefRational B) {
+  return refNormalized(__int128(A.N) * B.D, __int128(A.D) * B.N);
+}
+RefResult refPow(RefRational X, int64_t Exp) {
+  if (Exp < 0) {
+    RefResult P = refPow(X, -Exp);
+    return P ? refDiv({1, 1}, *P) : P;
+  }
+  RefRational Result{1, 1}, Base = X;
+  while (Exp > 0) {
+    if (Exp & 1) {
+      RefResult M = refMul(Result, Base);
+      if (!M)
+        return M;
+      Result = *M;
+    }
+    RefResult Sq = refMul(Base, Base);
+    if (!Sq)
+      return Sq;
+    Base = *Sq;
+    Exp >>= 1;
+  }
+  return Result;
+}
+
+/// One seeded operand as a (numerator, denominator) pair for the reducing
+/// constructor: a small integer or non-integer rational, or (\p Wide) one of
+/// the large shapes the fast paths must agree on as well.
+std::pair<int64_t, int64_t> drawOperand(Lcg &R, bool Wide) {
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  auto any64 = [&] { return int64_t(R.next() << 32 ^ R.next()); };
+  switch (Wide ? R.range(2, 11) : R.range(0, 1)) {
+  case 0: // small integer
+    return {R.range(-100, 100), 1};
+  case 1: // small non-integer rational
+    return {R.range(-1000, 1000), R.range(1, 60)};
+  case 2: // within 2 of the int64 extremes
+    return {R.range(0, 1) ? Min + R.range(0, 2) : Max - R.range(0, 2), 1};
+  case 3: // an extreme over a small odd denominator
+    return {R.range(0, 1) ? Min + R.range(0, 2) : Max - R.range(0, 2),
+            R.range(-8, 8) | 1};
+  case 4: // any 64-bit integer
+    return {any64(), 1};
+  case 5: // large numerator over a small denominator
+    return {any64(), R.range(2, 9)};
+  case 6:
+  case 7:
+  case 8: { // large multiple of 2^K: cancels against the next shape
+    int64_t K = R.range(1, 40);
+    int64_t Bound = (int64_t(1) << (62 - K)) - 1;
+    return {R.range(-Bound, Bound) * (int64_t(1) << K), 1};
+  }
+  default: // small numerator over 2^K
+    return {R.range(-(1 << 20), 1 << 20), int64_t(1) << R.range(1, 40)};
+  }
+}
+
+} // namespace
+
+TEST(RationalTest, FastPathsMatchWideReferenceArithmetic) {
+  Lcg R(20260517);
+  constexpr unsigned Pairs = 1000000;
+  unsigned Mismatches = 0, Overflows = 0, WideButFits = 0, IntPairs = 0;
+  std::string First;
+  // Runs \p Fast and requires \p Want's value, or a throw where \p Want is
+  // an overflow.
+  auto check = [&](const char *Op, const std::pair<int64_t, int64_t> &A,
+                   const std::pair<int64_t, int64_t> &B, auto &&Fast,
+                   const RefResult &Want) {
+    Rational Got;
+    bool Threw = false;
+    try {
+      Got = Fast();
+    } catch (const RationalOverflow &) {
+      Threw = true;
+    }
+    Overflows += !Want;
+    if (Threw == !Want && (Threw || (Got.numerator() == Want->N &&
+                                     Got.denominator() == Want->D)))
+      return;
+    if (Mismatches++ == 0)
+      First = std::string(Op) + " on " + std::to_string(A.first) + "/" +
+              std::to_string(A.second) + ", " + std::to_string(B.first) +
+              "/" + std::to_string(B.second);
+  };
+  for (unsigned P = 0; P < Pairs; ++P) {
+    // Seven pairs in eight are small; the rest mix in the wide shapes.
+    const bool Wide = R.range(0, 7) == 0;
+    const std::pair<int64_t, int64_t> OA =
+        drawOperand(R, Wide && R.range(0, 2));
+    const std::pair<int64_t, int64_t> OB =
+        drawOperand(R, Wide && R.range(0, 2));
+    // The operands themselves go through both reducing constructors.
+    const RefResult RA = refReduce(OA.first, OA.second),
+                    RB = refReduce(OB.first, OB.second);
+    if (!RA || !RB) {
+      EXPECT_THROW(
+          (Rational(OA.first, OA.second), Rational(OB.first, OB.second)),
+          RationalOverflow);
+      continue;
+    }
+    const Rational A(OA.first, OA.second), B(OB.first, OB.second);
+    ASSERT_EQ(A.numerator(), RA->N);
+    ASSERT_EQ(A.denominator(), RA->D);
+    ASSERT_EQ(B.numerator(), RB->N);
+    ASSERT_EQ(B.denominator(), RB->D);
+    IntPairs += A.isInteger() && B.isInteger();
+    const RefResult Sum = refAdd(*RA, *RB), Prod = refMul(*RA, *RB);
+    // Intermediates past int64 whose reduced product or sum still fits.
+    const __int128 ProdD = __int128(RA->D) * RB->D;
+    if (Prod && (!fitsInt64(__int128(RA->N) * RB->N) || !fitsInt64(ProdD)))
+      ++WideButFits;
+    const __int128 SumN = __int128(RA->N) * RB->D + __int128(RB->N) * RA->D;
+    if (Sum && (!fitsInt64(SumN) || !fitsInt64(ProdD)))
+      ++WideButFits;
+    check("+", OA, OB, [&] { return A + B; }, Sum);
+    check("-", OA, OB, [&] { return A - B; }, refSub(*RA, *RB));
+    check("*", OA, OB, [&] { return A * B; }, Prod);
+    if (!B.isZero())
+      check("/", OA, OB, [&] { return A / B; }, refDiv(*RA, *RB));
+    // Long powers only of tiny bases; larger ones overflow within a few
+    // squarings either way.
+    const bool TinyBase = A.numerator() >= -3 && A.numerator() <= 3 &&
+                          A.denominator() <= 3;
+    const int64_t Exp = TinyBase ? R.range(-3, 64) : R.range(-3, 8);
+    if (!A.isZero() || Exp >= 0)
+      check("pow", OA, {Exp, 1}, [&] { return A.pow(Exp); },
+            refPow(*RA, Exp));
+  }
+  EXPECT_EQ(Mismatches, 0u) << "first mismatch: " << First;
+  // The draw must reach every regime the fast paths split on.
+  std::printf("%u pairs: %u integer pairs, %u overflows, %u wide "
+              "intermediates that reduce into range\n",
+              Pairs, IntPairs, Overflows, WideButFits);
+  EXPECT_GT(IntPairs, Pairs / 20);
+  EXPECT_GT(Overflows, Pairs / 20);
+  EXPECT_GT(WideButFits, Pairs / 200);
+}
+
+//===----------------------------------------------------------------------===//
+// SmallVector
+//===----------------------------------------------------------------------===//
+
+TEST(SmallVectorTest, CopiesAndMovesAcrossTheInlineBoundary) {
+  // std::string elements own heap storage, so a lost destructor or a double
+  // free shows under the sanitizers.
+  using Vec = SmallVector<std::string, 2>;
+  const std::string Long(40, 'x');
+  Vec A;
+  A.push_back("a");
+  A.push_back(Long);
+  Vec InlineCopy = A;
+  A.push_back(A.front()); // grows past the inline slots from its own element
+  A.push_back(Long + "y");
+  ASSERT_EQ(A.size(), 4u);
+  EXPECT_EQ(A[2], "a");
+  EXPECT_EQ(A.back(), Long + "y");
+  Vec HeapCopy = A;
+  EXPECT_EQ(HeapCopy, A);
+  Vec Moved = std::move(A);
+  EXPECT_TRUE(A.empty());
+  EXPECT_EQ(Moved, HeapCopy);
+  Vec InlineMoved = std::move(InlineCopy);
+  ASSERT_EQ(InlineMoved.size(), 2u);
+  EXPECT_EQ(InlineMoved[1], Long);
+  InlineMoved = HeapCopy; // inline storage takes a heap-sized copy
+  EXPECT_EQ(InlineMoved, HeapCopy);
+  Moved = std::move(InlineMoved);
+  EXPECT_EQ(Moved, HeapCopy);
+  Moved.resize(1);
+  EXPECT_EQ(Moved.size(), 1u);
+  Moved.resize(3);
+  EXPECT_EQ(Moved[2], "");
+  Moved.pop_back();
+  Moved.assign(5, Long);
+  EXPECT_EQ(Moved.size(), 5u);
+  EXPECT_NE(Moved, HeapCopy);
+  Moved.clear();
+  EXPECT_TRUE(Moved.empty());
 }
 
 //===----------------------------------------------------------------------===//

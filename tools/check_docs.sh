@@ -251,10 +251,34 @@ elif [ "$CODE_NEST" != "$DOC_NEST" ]; then
   FAIL=1
 fi
 
+# 10. Same contract for the back-half allocation ceiling: DESIGN.md
+# section 11 states the current MaxAnalysisAllocsPerInstr in bold, and
+# tests/alloc_ceiling_test.cpp fails when analysis plus report exceed it
+# per IR instruction; doc and assertion must move together.
+CODE_BACK=$(sed -n \
+  's/.*MaxAnalysisAllocsPerInstr = \([0-9][0-9.]*\);.*/\1/p' \
+  tests/alloc_ceiling_test.cpp)
+DOC_BACK=$(sed -n \
+  's/.*`MaxAnalysisAllocsPerInstr` (currently \*\*\([0-9][0-9.]*\)\*\*.*/\1/p' \
+  DESIGN.md)
+if [ -z "$CODE_BACK" ]; then
+  echo "docs_check: cannot find MaxAnalysisAllocsPerInstr in" \
+       "tests/alloc_ceiling_test.cpp" >&2
+  FAIL=1
+elif [ -z "$DOC_BACK" ]; then
+  echo "docs_check: DESIGN.md does not document the current" \
+       "MaxAnalysisAllocsPerInstr" >&2
+  FAIL=1
+elif [ "$CODE_BACK" != "$DOC_BACK" ]; then
+  echo "docs_check: DESIGN.md documents MaxAnalysisAllocsPerInstr" \
+       "$DOC_BACK but tests/alloc_ceiling_test.cpp says $CODE_BACK" >&2
+  FAIL=1
+fi
+
 if [ "$FAIL" = 0 ]; then
   echo "docs_check: OK ($(echo "$FLAGS" | wc -w) flags," \
        "$(echo "$PATHS" | wc -w) paths, cache salt $CODE_SALT," \
-       "protocol version $CODE_PROTO, alloc ceiling $CODE_CEIL," \
+       "protocol version $CODE_PROTO, alloc ceilings $CODE_CEIL/$CODE_BACK," \
        "fleet defaults $CODE_WORKERS/$CODE_CACHE_CAP," \
        "summarizer $CODE_SUMM_PERIOD/$CODE_SUMM_SAMPLES," \
        "nesting limit $CODE_NEST verified)"

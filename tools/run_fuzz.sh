@@ -70,18 +70,23 @@ cmake --build "$BUILD" --target arena_test -j "$(nproc)" >/dev/null
 echo "fuzz: arena/interner unit tests clean under ASan/UBSan"
 
 # Classifier and loop-nest slice: the per-loop classification tables keep
-# raw pointers into each table's pool, and the SSA graphs share one
-# seq-indexed scratch that every loop resets on the way out
-# (DESIGN.md §6), while LoopInfo answers membership from pre-order
-# intervals.  The classifier, nested-loop and loop-info suites run in the
-# instrumented tree so a stale pointer, a missed reset or an out-of-range
-# block id dies here under ASan/UBSan.
+# raw pointers into each table's fixed-size chunks, closed forms keep small
+# coefficient lists inline, the SSA graphs share one seq-indexed scratch
+# that every loop resets on the way out (DESIGN.md §6), LoopInfo and the
+# dominator tree answer queries from pre-order intervals, and Rational's
+# int64 fast paths lean on the overflow builtins.  The classifier,
+# nested-loop, loop-info, arithmetic and closed-form suites run in the
+# instrumented tree so a stale pointer, a missed reset, an out-of-range
+# block id or a signed overflow dies here under ASan/UBSan (cfinite_test
+# follows in the next slice).
 cmake --build "$BUILD" --target ivclass_test ivclass_nested_test \
-  analysis_test -j "$(nproc)" >/dev/null
+  analysis_test support_test closedform_test -j "$(nproc)" >/dev/null
 "$BUILD/tests/ivclass_test" >/dev/null
 "$BUILD/tests/ivclass_nested_test" >/dev/null
 "$BUILD/tests/analysis_test" >/dev/null
-echo "fuzz: classifier/loop-nest suites clean under ASan/UBSan"
+"$BUILD/tests/support_test" >/dev/null
+"$BUILD/tests/closedform_test" >/dev/null
+echo "fuzz: classifier/loop-nest/arithmetic suites clean under ASan/UBSan"
 
 # C-finite slice: the extension's focused suites (`ctest -L cfinite` in
 # tier-1) run in the instrumented tree, and a dedicated campaign slice must
