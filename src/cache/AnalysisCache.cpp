@@ -1,7 +1,6 @@
 //===- cache/AnalysisCache.cpp - Content-addressed analysis cache --------------===//
 
 #include "cache/AnalysisCache.h"
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -53,7 +52,6 @@ constexpr size_t HeaderBytes = 24;
 // [index_off][count][generation][magic2] -- v2 grew the tail by the
 // generation word; the header is frozen (salt at offset 16, format at 8).
 constexpr size_t TailBytes = 32;
-constexpr size_t RecordHeaderBytes = 16; // [digest][len]
 
 void putU64(std::string &Out, uint64_t V) {
   Out.append(reinterpret_cast<const char *>(&V), sizeof(V));
@@ -235,15 +233,6 @@ bool AnalysisCache::parseImage(const char *Data, size_t Size,
 
 namespace {
 
-/// Serialized byte size of a complete image holding \p N records of
-/// \p RecordBytes total (frames included): header + log + index + tail.
-uint64_t imageBytes(size_t N, uint64_t RecordBytes) {
-  uint64_t Capacity = 8;
-  while (Capacity < uint64_t(N) * 2)
-    Capacity *= 2;
-  return HeaderBytes + RecordBytes + 8 + Capacity * 16 + TailBytes;
-}
-
 /// Builds the pow2 open-addressed index (<50% load) + tail for the given
 /// offset table.
 std::string buildFooter(const std::map<uint64_t, uint64_t> &Offsets,
@@ -324,22 +313,6 @@ void AnalysisCache::unmapLocked() {
   }
 }
 
-void AnalysisCache::setMaxBytes(uint64_t Bytes) {
-  std::unique_lock<std::shared_mutex> Lock(M);
-  MaxBytes = Bytes;
-}
-
-void AnalysisCache::touch(uint64_t Digest) {
-  std::lock_guard<std::mutex> G(AccessM);
-  AccessSeq[Digest] = ++AccessClock;
-}
-
-uint64_t AnalysisCache::accessOf(uint64_t Digest) const {
-  std::lock_guard<std::mutex> G(AccessM);
-  auto It = AccessSeq.find(Digest);
-  return It == AccessSeq.end() ? 0 : It->second;
-}
-
 bool AnalysisCache::adoptImage(const char *Data, size_t Size,
                                const ParsedImage &Img) {
   // Caller holds the exclusive lock and hands us a fresh mapping it owns;
@@ -373,10 +346,6 @@ bool AnalysisCache::open(const std::string &P, std::string &Error) {
   Generation = 0;
   Invalidated = false;
   unmapLocked();
-  {
-    std::lock_guard<std::mutex> G(AccessM);
-    AccessSeq.clear();
-  }
 
   int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
   if (Fd < 0) {
@@ -426,7 +395,6 @@ const CacheEntry *AnalysisCache::lookup(uint64_t Digest) {
     if (It != Entries.end()) {
       // The pointer outlives the lock: map nodes are stable and entries
       // are never erased while the cache is open.
-      touch(Digest);
       return &It->second;
     }
     if (!DiskOffsets.count(Digest))
@@ -436,10 +404,8 @@ const CacheEntry *AnalysisCache::lookup(uint64_t Digest) {
   // Materialize from the mapping under the exclusive lock.
   std::unique_lock<std::shared_mutex> Lock(M);
   auto It = Entries.find(Digest);
-  if (It != Entries.end()) { // Raced another materializer.
-    touch(Digest);
+  if (It != Entries.end()) // Raced another materializer.
     return &It->second;
-  }
   auto OffIt = DiskOffsets.find(Digest);
   if (OffIt == DiskOffsets.end())
     return nullptr; // Invalidated (or refreshed away) while we upgraded.
@@ -460,10 +426,7 @@ const CacheEntry *AnalysisCache::lookup(uint64_t Digest) {
     discardDiskLocked();
     return nullptr;
   }
-  auto [NewIt, Inserted] = Entries.emplace(Digest, std::move(E));
-  (void)Inserted;
-  touch(Digest);
-  return &NewIt->second;
+  return &Entries.emplace(Digest, std::move(E)).first->second;
 }
 
 void AnalysisCache::insert(uint64_t Digest, CacheEntry E) {
@@ -483,7 +446,6 @@ void AnalysisCache::insert(uint64_t Digest, CacheEntry E) {
   }
   PendingLog.emplace_back(Digest, std::move(Record));
   Entries.emplace(Digest, std::move(E));
-  touch(Digest);
 }
 
 size_t AnalysisCache::entryCount() const {
@@ -543,7 +505,7 @@ bool AnalysisCache::refreshIfChanged() {
 }
 
 //===----------------------------------------------------------------------===//
-// Save: flock'd append, merge-on-conflict, compaction under the byte cap
+// Save: flock'd append, merge-on-conflict
 //===----------------------------------------------------------------------===//
 
 bool AnalysisCache::save(std::string &Error) {
@@ -552,44 +514,31 @@ bool AnalysisCache::save(std::string &Error) {
     Error = "cache not opened";
     return false;
   }
-  // No-op fast path: nothing to contribute and the on-disk file is intact
-  // and under the cap (append-only growth means our loaded size bounds it
-  // from our side; another process pushing it over will compact on *its*
-  // save).  Must not touch the file at all -- callers rely on mtime/size
-  // staying put.
-  if (PendingLog.empty() && DiskLogEnd != 0 &&
-      (MaxBytes == 0 || MapLen <= MaxBytes))
+  // No-op fast path: nothing to contribute and the on-disk file is intact.
+  // Must not touch the file at all -- callers rely on mtime/size staying
+  // put.
+  if (PendingLog.empty() && DiskLogEnd != 0)
     return true;
 
-  // --- Acquire the appender lock, chasing compaction renames. -------------
-  int Fd = -1;
-  struct stat FdSt;
-  for (int Attempt = 0; Attempt < 10; ++Attempt) {
-    Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (Fd < 0) {
-      Error = "cannot write cache file '" + Path + "': " +
+  // --- Acquire the appender lock. -----------------------------------------
+  // Nothing renames the file, so the inode we lock is the one at the path.
+  int Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (Fd < 0) {
+    Error = "cannot write cache file '" + Path + "': " + std::strerror(errno);
+    return false;
+  }
+  while (::flock(Fd, LOCK_EX) != 0) {
+    if (errno != EINTR) {
+      ::close(Fd);
+      Error = "cannot lock cache file '" + Path + "': " +
               std::strerror(errno);
       return false;
     }
-    while (::flock(Fd, LOCK_EX) != 0) {
-      if (errno != EINTR) {
-        ::close(Fd);
-        Error = "cannot lock cache file '" + Path + "': " +
-                std::strerror(errno);
-        return false;
-      }
-    }
-    // A compactor may have renamed a fresh inode over the path while we
-    // waited; our lock would then guard a dead file.  Re-check identity.
-    struct stat PathSt;
-    if (::fstat(Fd, &FdSt) == 0 && ::stat(Path.c_str(), &PathSt) == 0 &&
-        FdSt.st_dev == PathSt.st_dev && FdSt.st_ino == PathSt.st_ino)
-      break;
-    ::close(Fd); // Releases the lock; retry on the new inode.
-    Fd = -1;
   }
-  if (Fd < 0) {
-    Error = "cannot lock cache file '" + Path + "' (compaction storm)";
+  struct stat FdSt;
+  if (::fstat(Fd, &FdSt) != 0) {
+    ::close(Fd);
+    Error = "cannot stat cache file '" + Path + "': " + std::strerror(errno);
     return false;
   }
 
@@ -603,10 +552,9 @@ bool AnalysisCache::save(std::string &Error) {
 
   if (DiskValid) {
     if (DiskImg.Generation != Generation || DiskImg.IndexOff != DiskLogEnd) {
-      // Another appender (or a compaction) advanced the file: adopt the
-      // disk truth.  Entries materialized from our old mapping stay valid
-      // (content-addressed), and pending inserts the disk already has are
-      // dropped below.
+      // Another appender advanced the file: adopt the disk truth.  Entries
+      // materialized from our old mapping stay valid (content-addressed),
+      // and pending inserts the disk already has are dropped below.
       DiskOffsets = DiskImg.Offsets;
       DiskLogEnd = DiskImg.IndexOff;
       Generation = DiskImg.Generation;
@@ -620,13 +568,25 @@ bool AnalysisCache::save(std::string &Error) {
     DiskOffsets.clear();
     DiskLogEnd = 0;
     Generation = 0;
-    Disk.clear();
   }
 
   // --- Lay out the records to append. -------------------------------------
-  // Fresh mode additionally re-serializes every in-memory entry, in digest
-  // order so the file bytes are deterministic for any worker count.
-  std::vector<std::pair<uint64_t, std::string>> Append;
+  // Fresh mode re-serializes every in-memory entry, in digest order so the
+  // file bytes are deterministic for any worker count.
+  std::string NewLog;
+  uint64_t LogEnd = DiskLogEnd;
+  if (DiskLogEnd == 0) {
+    putU64(NewLog, Magic1);
+    putU64(NewLog, CacheFormatVersion);
+    putU64(NewLog, AnalysisVersionSalt);
+    LogEnd = HeaderBytes;
+  }
+  std::map<uint64_t, uint64_t> NewOffsets = DiskOffsets;
+  auto Append = [&](uint64_t Digest, const std::string &Record) {
+    NewOffsets[Digest] = LogEnd;
+    NewLog += Record;
+    LogEnd += Record.size();
+  };
   if (DiskLogEnd == 0) {
     for (const auto &[Digest, E] : Entries) {
       std::string Record;
@@ -634,26 +594,12 @@ bool AnalysisCache::save(std::string &Error) {
       putU64(Record, Digest);
       putU64(Record, Payload.size());
       Record += Payload;
-      Append.emplace_back(Digest, std::move(Record));
+      Append(Digest, Record);
     }
   } else {
-    for (auto &[Digest, Record] : PendingLog)
+    for (const auto &[Digest, Record] : PendingLog)
       if (!DiskOffsets.count(Digest))
-        Append.emplace_back(Digest, Record);
-  }
-
-  uint64_t LogEnd = DiskLogEnd ? DiskLogEnd : HeaderBytes;
-  std::map<uint64_t, uint64_t> NewOffsets = DiskOffsets;
-  std::string NewLog;
-  if (DiskLogEnd == 0) {
-    putU64(NewLog, Magic1);
-    putU64(NewLog, CacheFormatVersion);
-    putU64(NewLog, AnalysisVersionSalt);
-  }
-  for (const auto &[Digest, Record] : Append) {
-    NewOffsets[Digest] = LogEnd;
-    NewLog += Record;
-    LogEnd += Record.size();
+        Append(Digest, Record);
   }
 
   uint64_t NewGen = Generation + 1;
@@ -667,130 +613,8 @@ bool AnalysisCache::save(std::string &Error) {
     return false;
   };
 
-  if (MaxBytes != 0 && FinalSize > MaxBytes) {
-    // --- Compact: rewrite to a temp file keeping the most recently used
-    // entries that fit, then atomically rename into place.  Live readers
-    // keep their old inode; the bumped generation (and new inode) flags
-    // the swap for refreshIfChanged().
-    struct Survivor {
-      uint64_t Digest;
-      uint64_t Access;
-      uint64_t DiskOff;  // record offset in Disk, or ~0 when appended...
-      uint64_t RecLen;
-      std::string Owned; // ...with the record bytes owned here instead
-      const char *rec(const std::string &Disk) const {
-        return DiskOff == ~0ull ? Owned.data() : Disk.data() + DiskOff;
-      }
-    };
-    std::vector<Survivor> Cands;
-    for (const auto &[Digest, Off] : NewOffsets) {
-      Survivor S;
-      S.Digest = Digest;
-      S.Access = accessOf(Digest);
-      if (Off >= DiskLogEnd || DiskLogEnd == 0) {
-        // Appended this save: find it in Append (small; linear is fine).
-        S.DiskOff = ~0ull;
-        for (const auto &[D, Record] : Append)
-          if (D == Digest) {
-            S.Owned = Record;
-            break;
-          }
-        S.RecLen = S.Owned.size();
-      } else {
-        size_t Pos = size_t(Off) + 8; // skip digest, read len
-        uint64_t RecLen = 0;
-        getU64(Disk.data(), Disk.size(), Pos, RecLen);
-        S.DiskOff = Off;
-        S.RecLen = RecordHeaderBytes + RecLen;
-      }
-      Cands.push_back(std::move(S));
-    }
-    // Most recently used first; ties (never touched) by digest for
-    // determinism.
-    std::sort(Cands.begin(), Cands.end(),
-              [](const Survivor &A, const Survivor &B) {
-                if (A.Access != B.Access)
-                  return A.Access > B.Access;
-                return A.Digest < B.Digest;
-              });
-    std::vector<const Survivor *> Keep;
-    uint64_t KeptBytes = 0;
-    for (const Survivor &S : Cands) {
-      if (imageBytes(Keep.size() + 1, KeptBytes + S.RecLen) > MaxBytes)
-        continue; // Doesn't fit; a smaller, colder entry later still might.
-      Keep.push_back(&S);
-      KeptBytes += S.RecLen;
-    }
-    // Rebuild the image: header, surviving records in digest order (the
-    // on-disk order is a cache artifact; keep it canonical), index, tail.
-    std::sort(Keep.begin(), Keep.end(),
-              [](const Survivor *A, const Survivor *B) {
-                return A->Digest < B->Digest;
-              });
-    std::string Image;
-    putU64(Image, Magic1);
-    putU64(Image, CacheFormatVersion);
-    putU64(Image, AnalysisVersionSalt);
-    std::map<uint64_t, uint64_t> KeptOffsets;
-    for (const Survivor *S : Keep) {
-      KeptOffsets[S->Digest] = Image.size();
-      Image.append(S->rec(Disk), size_t(S->RecLen));
-    }
-    uint64_t KeptLogEnd = Image.size();
-    Image += buildFooter(KeptOffsets, KeptLogEnd, NewGen);
-
-    std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-    int TFd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                     0644);
-    if (TFd < 0)
-      return Fail("cannot write");
-    if (!writeAllAt(TFd, 0, Image.data(), Image.size()) ||
-        ::fsync(TFd) != 0) {
-      ::close(TFd);
-      ::unlink(Tmp.c_str());
-      return Fail("cannot write");
-    }
-    ::close(TFd);
-    if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
-      ::unlink(Tmp.c_str());
-      return Fail("cannot replace");
-    }
-    ::close(Fd); // Releases the flock held on the now-unlinked inode.
-    ++NumCompactions;
-
-    // Adopt the compacted view.  Entries evicted from disk stay usable in
-    // memory (node stability) but will re-append on a future save only if
-    // re-inserted; PendingLog is spent either way.
-    ParsedImage KeptImg;
-    KeptImg.IndexOff = KeptLogEnd;
-    KeptImg.Generation = NewGen;
-    KeptImg.Offsets = KeptOffsets;
-
-    int RFd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-    struct stat RSt;
-    void *Base = MAP_FAILED;
-    if (RFd >= 0 && ::fstat(RFd, &RSt) == 0)
-      Base = ::mmap(nullptr, size_t(RSt.st_size), PROT_READ, MAP_SHARED,
-                    RFd, 0);
-    if (RFd >= 0)
-      ::close(RFd);
-    if (Base == MAP_FAILED) {
-      // We wrote it; failing to map our own file is a hard error.
-      Error = "cannot map cache file '" + Path + "'";
-      return false;
-    }
-    adoptImage(static_cast<const char *>(Base), size_t(RSt.st_size),
-               KeptImg);
-    MapDev = RSt.st_dev;
-    MapIno = RSt.st_ino;
-    PendingLog.clear();
-    Invalidated = false;
-    return true;
-  }
-
-  // --- Plain append: records from DiskLogEnd, then the new footer. --------
-  uint64_t WriteOff = DiskLogEnd ? DiskLogEnd : 0;
-  if (!writeAllAt(Fd, WriteOff, NewLog.data(), NewLog.size()) ||
+  // --- Append: records from DiskLogEnd, then the new footer. --------------
+  if (!writeAllAt(Fd, DiskLogEnd, NewLog.data(), NewLog.size()) ||
       !writeAllAt(Fd, LogEnd, Footer.data(), Footer.size()))
     return Fail("cannot write");
   // An append never shrinks the file (the new footer indexes a superset of

@@ -44,35 +44,30 @@
 /// invariant that makes concurrently-mapped readers safe.  The
 /// *generation* counter in the tail advances on every successful save, so
 /// a process whose in-memory view was loaded at generation G can tell that
-/// the file moved under it (another appender, or a compaction swap) and
-/// merge instead of clobbering.  All integers are host-endian -- the cache
-/// is a local artifact, not an interchange format.  Any structural damage
-/// (bad magic, stale salt or format, truncation, out-of-range offsets)
-/// invalidates the whole file: the cache reopens empty and the next save
-/// rewrites it, trading re-analysis for never serving a corrupt entry.
+/// another appender moved the file under it and merge instead of
+/// clobbering.  All integers are host-endian -- the cache is a local
+/// artifact, not an interchange format.  Any structural damage (bad magic,
+/// stale salt or format, truncation, out-of-range offsets) invalidates the
+/// whole file: the cache reopens empty and the next save rewrites it,
+/// trading re-analysis for never serving a corrupt entry.
 ///
-/// Cross-process safety (DESIGN.md §13).  Many processes may share one
-/// cache file:
+/// Writers (DESIGN.md §9).  A serving daemon is its file's only writer;
+/// the file is never compacted, renamed or rewritten in place, so it grows
+/// by the entries it has seen.  Concurrent `bivc --batch --cache` runs on
+/// one file are still safe:
 ///
 ///  - *Probes are mmap read-mostly.*  open() maps the file read-only and
 ///    parses just the index; entry payloads deserialize lazily on first
 ///    lookup.  Because the entry log is append-only, bytes below our
-///    loaded index offset never change, and a compaction swap replaces the
-///    whole inode -- a live mapping keeps reading its own consistent
-///    snapshot either way.
-///  - *The appender takes an advisory flock.*  save() locks the file
-///    (re-opening when a compaction renamed a new inode into place),
+///    loaded index offset never change, so a live mapping keeps reading
+///    its own consistent snapshot.
+///  - *The appender takes an advisory flock.*  save() locks the file,
 ///    re-reads the on-disk generation, and when the file advanced past its
 ///    loaded view it merges: adopt the disk's entries, drop pending
 ///    inserts that now exist, append only what is still new.  Two
 ///    processes racing the lock both land their entries.
-///  - *Compaction bounds the file.*  With a byte cap configured
-///    (setMaxBytes / `--cache-max-bytes`), a save whose result would
-///    exceed the cap rewrites the file to a temp path keeping the most
-///    recently used entries that fit (LRU-ish: recency is tracked per
-///    process at lookup/insert), fsyncs, and atomically renames it into
-///    place with the generation advanced.  Readers detect the swap via
-///    refreshIfChanged() (inode/size/generation comparison).
+///  - *Readers may catch up.*  refreshIfChanged() re-maps the file when
+///    another appender grew it (size/inode/generation comparison).
 ///
 /// Thread-safety within a process: many concurrent readers, one writer.
 /// lookup() takes a shared lock (upgrading briefly to materialize a disk
@@ -95,7 +90,6 @@
 #include "ivclass/Report.h"
 #include <cstdint>
 #include <map>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <sys/types.h>
@@ -111,7 +105,7 @@ namespace cache {
 inline constexpr uint64_t AnalysisVersionSalt = 3;
 
 /// On-disk format revision (layout, not analysis semantics).  v2 added the
-/// generation counter to the tail footer (fleet-shared caches).
+/// generation counter to the tail footer (merge on concurrent appends).
 inline constexpr uint64_t CacheFormatVersion = 2;
 
 /// 64-bit FNV-1a over \p Data, continuing from \p Seed (the offset basis by
@@ -157,11 +151,6 @@ public:
   /// with \p Error filled.
   bool open(const std::string &Path, std::string &Error);
 
-  /// Caps the on-disk file size: a save() whose result would exceed
-  /// \p Bytes compacts, keeping the most recently used entries that fit.
-  /// 0 (the default) means unbounded.
-  void setMaxBytes(uint64_t Bytes);
-
   /// The entry for \p Digest, or null.  Pending (inserted, unsaved) entries
   /// are visible; on-disk entries materialize from the mapping on first
   /// use.  Safe to call from many threads, concurrently with insert(); the
@@ -178,15 +167,14 @@ public:
 
   /// Appends pending entries and rewrites the index footer (or writes the
   /// whole file fresh after invalidation) under an advisory flock,
-  /// merging with any progress other processes made since open(), and
-  /// compacting when the result would exceed the byte cap.  Returns false
-  /// with \p Error set when the path cannot be written -- callers must
-  /// treat that as a hard error, not a silent success.  No-op when nothing
-  /// is pending, the file is intact, and no compaction is due.
+  /// merging with any progress other processes made since open().
+  /// Returns false with \p Error set when the path cannot be written --
+  /// callers must treat that as a hard error, not a silent success.  No-op
+  /// when nothing is pending and the file is intact.
   bool save(std::string &Error);
 
   /// Cheap cross-process staleness probe: stats the path and, when another
-  /// process appended or compacted since our view was loaded, re-maps and
+  /// process appended since our view was loaded, re-maps and
   /// adopts the new index (pending inserts and already-materialized
   /// entries are kept).  Returns true when the view changed.  A torn or
   /// damaged on-disk state is skipped (retry later), not adopted.
@@ -210,11 +198,6 @@ public:
     std::shared_lock<std::shared_mutex> Lock(M);
     return Generation;
   }
-  /// Compactions this process performed over the file's lifetime.
-  uint64_t compactions() const {
-    std::shared_lock<std::shared_mutex> Lock(M);
-    return NumCompactions;
-  }
 
 private:
   struct ParsedImage;
@@ -222,8 +205,6 @@ private:
   bool adoptImage(const char *Data, size_t Size, const ParsedImage &Img);
   void discardDiskLocked();
   void unmapLocked();
-  uint64_t accessOf(uint64_t Digest) const;
-  void touch(uint64_t Digest);
 
   std::string Path;
   /// Readers (lookup, counts) shared; open/insert/save exclusive.
@@ -241,8 +222,6 @@ private:
   /// overwriting the old footer); 0 = no valid file, save() writes fresh.
   uint64_t DiskLogEnd = 0;
   uint64_t Generation = 0;   ///< tail generation of our loaded view
-  uint64_t MaxBytes = 0;     ///< 0 = unbounded
-  uint64_t NumCompactions = 0;
   bool Invalidated = false;  ///< disk content was discarded
 
   /// Read-only mapping of the file as of the last open/refresh/save.
@@ -250,12 +229,6 @@ private:
   size_t MapLen = 0;
   dev_t MapDev = 0;
   ino_t MapIno = 0;
-
-  /// LRU-ish recency: per-digest access stamps, bumped on hit and insert.
-  /// Own mutex so shared-lock readers can stamp without the big lock.
-  mutable std::mutex AccessM;
-  std::map<uint64_t, uint64_t> AccessSeq;
-  uint64_t AccessClock = 0;
 };
 
 } // namespace cache

@@ -1,7 +1,6 @@
 //===- server/Server.cpp - Persistent analysis daemon --------------------------===//
 
 #include "server/Server.h"
-#include "server/Fleet.h"
 #include "ir/Printer.h"
 #include "ivclass/Pipeline.h"
 #include "ivclass/Report.h"
@@ -10,6 +9,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
+#include <netdb.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -57,6 +58,113 @@ void closeFd(int &Fd) {
   }
 }
 
+/// Binds + listens on an AF_UNIX socket at \p Path.  Returns the fd, or -1
+/// with \p Error set.
+int listenUnix(const std::string &Path, std::string &Error) {
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  if (Path.size() >= sizeof(Addr.sun_path)) {
+    Error = "socket path too long: " + Path;
+    return -1;
+  }
+  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+
+  // An existing file at the path is either a live daemon's socket or the
+  // leftover of one that died without draining.  Only a connect can tell:
+  // refused means nobody is accepting, so the file is stale and is
+  // replaced; anything that reaches a listener (including a full backlog,
+  // EAGAIN on this non-blocking probe) means the path is taken.  The live
+  // daemon sees the probe as one empty connection.
+  int Probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (Probe < 0) {
+    Error = std::string("socket: ") + std::strerror(errno);
+    return -1;
+  }
+  int Rc = ::connect(Probe, reinterpret_cast<sockaddr *>(&Addr),
+                     sizeof(Addr));
+  int ProbeErr = Rc == 0 ? 0 : errno;
+  ::close(Probe);
+  if (Rc == 0 || ProbeErr == EAGAIN || ProbeErr == EINPROGRESS) {
+    Error = "cannot listen on '" + Path +
+            "': another daemon is already serving it";
+    return -1;
+  }
+  if (ProbeErr == ECONNREFUSED)
+    ::unlink(Path.c_str());
+
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0) {
+    Error = std::string("socket: ") + std::strerror(errno);
+    return -1;
+  }
+  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
+      ::listen(Fd, 128) != 0) {
+    Error = "cannot listen on '" + Path + "': " + std::strerror(errno);
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
+/// Binds + listens on a TCP socket for \p Spec ("HOST:PORT"; port 0 lets
+/// the kernel pick).  Returns the fd, or -1 with \p Error set.
+int listenTcp(const std::string &Spec, std::string &Error) {
+  size_t Colon = Spec.rfind(':');
+  if (Colon == std::string::npos || Colon == 0 ||
+      Colon + 1 == Spec.size()) {
+    Error = "bad TCP endpoint '" + Spec + "' (expected HOST:PORT)";
+    return -1;
+  }
+  std::string Host = Spec.substr(0, Colon);
+  std::string Port = Spec.substr(Colon + 1);
+
+  addrinfo Hints{};
+  Hints.ai_family = AF_UNSPEC;
+  Hints.ai_socktype = SOCK_STREAM;
+  Hints.ai_flags = AI_PASSIVE;
+  addrinfo *Res = nullptr;
+  int GE = ::getaddrinfo(Host.c_str(), Port.c_str(), &Hints, &Res);
+  if (GE != 0) {
+    Error = "cannot resolve '" + Spec + "': " + ::gai_strerror(GE);
+    return -1;
+  }
+  int Fd = -1;
+  std::string LastErr = "no usable address";
+  for (addrinfo *AI = Res; AI; AI = AI->ai_next) {
+    Fd = ::socket(AI->ai_family, AI->ai_socktype, AI->ai_protocol);
+    if (Fd < 0) {
+      LastErr = std::string("socket: ") + std::strerror(errno);
+      continue;
+    }
+    int One = 1;
+    ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
+    if (::bind(Fd, AI->ai_addr, AI->ai_addrlen) == 0 &&
+        ::listen(Fd, 128) == 0)
+      break;
+    LastErr = std::strerror(errno);
+    ::close(Fd);
+    Fd = -1;
+  }
+  ::freeaddrinfo(Res);
+  if (Fd < 0)
+    Error = "cannot listen on '" + Spec + "': " + LastErr;
+  return Fd;
+}
+
+/// The local port of a bound TCP socket (resolves port 0 to the kernel's
+/// pick); 0 for a non-TCP socket or on failure.
+int boundTcpPort(int Fd) {
+  sockaddr_storage SS{};
+  socklen_t Len = sizeof(SS);
+  if (::getsockname(Fd, reinterpret_cast<sockaddr *>(&SS), &Len) != 0)
+    return 0;
+  if (SS.ss_family == AF_INET)
+    return ntohs(reinterpret_cast<sockaddr_in *>(&SS)->sin_port);
+  if (SS.ss_family == AF_INET6)
+    return ntohs(reinterpret_cast<sockaddr_in6 *>(&SS)->sin6_port);
+  return 0;
+}
+
 } // namespace
 
 Server::Server(std::string Path, ServerOptions O)
@@ -87,36 +195,28 @@ bool Server::start(std::string &Error) {
       std::fprintf(stderr,
                    "bivc: cache %s is stale or damaged; rebuilding it\n",
                    Opts.CachePath.c_str());
-    Cache.setMaxBytes(Opts.CacheMaxBytes);
     HaveCache = true;
   }
 
-  if (!Opts.AdoptedFds.empty()) {
-    // Fleet worker: the parent bound everything; we only accept.
-    ListenFds = Opts.AdoptedFds;
-    OwnSocketFile = false;
-  } else {
-    if (SocketPath.empty() && Opts.TcpSpec.empty()) {
-      Error = "server has no endpoint to listen on";
+  if (SocketPath.empty() && Opts.TcpSpec.empty()) {
+    Error = "server has no endpoint to listen on";
+    return false;
+  }
+  if (!SocketPath.empty()) {
+    int Fd = listenUnix(SocketPath, Error);
+    if (Fd < 0)
+      return false;
+    ListenFds.push_back(Fd);
+  }
+  if (!Opts.TcpSpec.empty()) {
+    int Fd = listenTcp(Opts.TcpSpec, Error);
+    if (Fd < 0) {
+      for (int F : ListenFds)
+        ::close(F);
+      ListenFds.clear();
       return false;
     }
-    if (!SocketPath.empty()) {
-      int Fd = listenUnix(SocketPath, Error);
-      if (Fd < 0)
-        return false;
-      ListenFds.push_back(Fd);
-      OwnSocketFile = true;
-    }
-    if (!Opts.TcpSpec.empty()) {
-      int Fd = listenTcp(Opts.TcpSpec, Error);
-      if (Fd < 0) {
-        for (int F : ListenFds)
-          ::close(F);
-        ListenFds.clear();
-        return false;
-      }
-      ListenFds.push_back(Fd);
-    }
+    ListenFds.push_back(Fd);
   }
   for (int Fd : ListenFds) {
     // Non-blocking listen sockets: the accept loop multiplexes them with
@@ -182,9 +282,7 @@ bool Server::drain(std::string &Error) {
   for (int &Fd : ListenFds)
     closeFd(Fd);
   ListenFds.clear();
-  // In fleet-worker mode the supervisor owns the socket file; removing it
-  // here would cut off every sibling still accepting on it.
-  if (OwnSocketFile && !SocketPath.empty())
+  if (!SocketPath.empty())
     ::unlink(SocketPath.c_str());
   closeFd(WakeFd[0]);
   closeFd(WakeFd[1]);
@@ -234,8 +332,7 @@ void Server::acceptLoop() {
         if (Fd < 0) {
           if (errno == EINTR)
             continue;
-          break; // EAGAIN: backlog empty (or a fleet sibling won the
-                 // race for it), back to poll
+          break; // EAGAIN: backlog empty, back to poll
         }
         handleConnection(Fd, Base);
         mergeThreadDelta(Base);
@@ -247,9 +344,7 @@ void Server::acceptLoop() {
     }
   }
   // Connections that reached the kernel backlog but were never taken must
-  // not be silently dropped either: answer each with shutting_down.  (In
-  // fleet mode the backlog is shared; whatever this worker wins here, it
-  // answers.)
+  // not be silently dropped either: answer each with shutting_down.
   for (size_t I = 0; I < Wake; ++I) {
     for (;;) {
       int Fd = ::accept(Fds[I].fd, nullptr, nullptr);
@@ -335,12 +430,6 @@ void Server::serveAnalyze(int Fd, Request Q,
                std::chrono::steady_clock::now() - Accepted)
         .count();
   };
-  // Fault injection for the fleet soak: die the way a real worker bug
-  // would -- request read, no reply written -- so the client sees a peer
-  // close (not a hang) and the supervisor sees a death to respawn.
-  if (!Opts.CrashToken.empty() &&
-      Q.Source.find(Opts.CrashToken) != std::string::npos)
-    ::_exit(86);
   if (Q.DeadlineMs != 0 &&
       uint64_t(Elapsed()) > Q.DeadlineMs * 1000000ull) {
     NumDeadlineExceeded.bump();
@@ -422,10 +511,6 @@ Response Server::analyze(const Request &Q) {
       stats::ScopedSpan Span(CacheTimer);
       Digest = cache::unitDigest(ir::toString(*P->F), Q.OptsBits);
       CE = Cache.lookup(Digest);
-      if (!CE && Cache.refreshIfChanged())
-        // A fleet sibling may have flushed this digest since our view
-        // was mapped; one cheap stat per miss buys cross-worker warmth.
-        CE = Cache.lookup(Digest);
     }
     if (CE) {
       NumCacheHits.bump();
@@ -461,10 +546,9 @@ Response Server::analyze(const Request &Q) {
     // bytes of any one entry are deterministic even though the file-level
     // order is not (unlike --batch, which commits in input order).
     Cache.insert(Digest, std::move(E));
-    // Flush cadence: land accumulated misses on disk so fleet siblings
-    // can warm from them and a crash loses bounded work.  try_lock keeps
-    // workers from convoying behind one flush; whoever loses just keeps
-    // serving and the cadence catches up.
+    // Flush cadence: land accumulated misses on disk so a crash loses
+    // bounded work.  try_lock keeps workers from convoying behind one
+    // flush; whoever loses just keeps serving and the cadence catches up.
     if (Cache.pendingCount() >= Opts.CacheFlushEvery) {
       std::unique_lock<std::mutex> FL(FlushM, std::try_to_lock);
       if (FL.owns_lock()) {

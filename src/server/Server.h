@@ -25,9 +25,11 @@
 ///  - Deadlines are enforced at dispatch.  A request whose deadline expired
 ///    while it sat in the queue is answered `deadline_exceeded` without
 ///    paying for the analysis.
-///  - A crashing request fails alone.  Worker-side exceptions become an
+///  - A throwing request fails alone.  Worker-side exceptions become an
 ///    `analysis_error` response on that one connection; the daemon and its
-///    siblings keep serving.
+///    siblings keep serving.  A request that crashes the process (a
+///    segfault, not an exception) is not isolated: it takes the daemon
+///    down (DESIGN.md section 13).
 ///  - SIGTERM drains.  The accept loop stops taking connections, every
 ///    already-admitted request runs to completion and is answered, the
 ///    shared cache is saved, and only then does the process exit.
@@ -69,32 +71,17 @@ struct ServerOptions {
   /// start() (unwritable/unreadable is a hard start error, matching
   /// `--cache`) and saved during drain.
   std::string CachePath;
-  /// Byte cap for the cache file (`--cache-max-bytes`); a save that would
-  /// exceed it compacts, evicting least-recently-used entries.  0 =
-  /// unbounded.
-  uint64_t CacheMaxBytes = 0;
   /// Flush cadence: once this many misses are pending in memory, the next
-  /// one saves the cache mid-flight (so fleet siblings can warm from it
-  /// and a crash loses at most this much work), in addition to the final
-  /// save at drain.
+  /// one saves the cache mid-flight (so a crash loses at most this much
+  /// work), in addition to the final save at drain.
   size_t CacheFlushEvery = 64;
   /// Optional TCP frontend, "HOST:PORT" (`--serve-tcp`; port 0 lets the
   /// kernel pick -- see tcpPort()).  Served alongside the unix socket,
   /// same protocol, same lifecycle.
   std::string TcpSpec;
-  /// Fleet mode: already-bound listening sockets inherited from the
-  /// parent.  When non-empty, start() adopts these instead of binding
-  /// (SocketPath/TcpSpec are the parent's business), and drain() leaves
-  /// the socket file alone -- the supervisor owns it.
-  std::vector<int> AdoptedFds;
   /// Seconds a connection may dawdle delivering its request frame before
   /// the read times out (guards the accept loop against stalled clients).
   unsigned ReadTimeoutSec = 10;
-  /// Test-only: requests whose source contains this token kill the worker
-  /// process (`_exit`) between accept and reply, simulating a mid-request
-  /// crash for the fleet soak.  Wired from BIV_SERVE_CRASH_TOKEN; never
-  /// set in production paths.
-  std::string CrashToken;
   /// Test-only: runs on the worker just before each analyze request's
   /// pipeline, letting tests hold workers to fill the admission queue
   /// deterministically.  Never set in production paths.
@@ -111,9 +98,10 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Opens the cache (if configured), binds + listens on the socket path
-  /// (an existing stale socket file is replaced), and spawns the accept
-  /// loop.  False with \p Error set on any failure.
+  /// Opens the cache (if configured), binds + listens on the socket path,
+  /// and spawns the accept loop.  A stale socket file (nothing accepting
+  /// on it) is replaced; a path another live daemon is serving is refused.
+  /// False with \p Error set on any failure.
   bool start(std::string &Error);
 
   /// Initiates drain: stop accepting, finish every admitted request.
@@ -165,12 +153,9 @@ private:
   std::string SocketPath;
   ServerOptions Opts;
 
-  /// All listening sockets (unix, maybe TCP, or the fleet's adopted fds);
-  /// the accept loop polls them all.
+  /// All listening sockets (unix, maybe TCP); the accept loop polls them
+  /// all.
   std::vector<int> ListenFds;
-  /// Whether we bound the unix socket ourselves (and so must unlink its
-  /// file at drain); false in fleet-worker mode.
-  bool OwnSocketFile = false;
   int TcpListenPort = 0;
   int WakeFd[2] = {-1, -1}; ///< self-pipe: [0] polled, [1] written by
                             ///< requestShutdown / signal handler

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 
 using namespace biv;
 using namespace biv::cache;
@@ -314,7 +315,7 @@ TEST(AnalysisCacheTest, UnwritablePathFailsLoudly) {
 }
 
 //===----------------------------------------------------------------------===//
-// Multi-writer world: generations, refresh, compaction, racing appenders.
+// Multi-writer world: generations, refresh, racing appenders.
 // The invariant stays the same -- forget or retry cleanly, never serve a
 // corrupt hit -- but now the damage comes from concurrent processes, not
 // just a mutilated file.
@@ -412,106 +413,66 @@ TEST(AnalysisCacheTest, RacingAppendersBothLand) {
   EXPECT_EQ(Z.lookup(DD)->ReportText, "first copy");
 }
 
-TEST(AnalysisCacheTest, CompactionEvictsColdEntriesAndBoundsTheFile) {
-  TempPath P("cache_compact.bin");
+namespace {
+
+/// The fixed save sequence behind tests/fixtures/cache_v2_reference.bin:
+/// a fresh write, a two-entry append, and a second writer whose stale view
+/// must merge (generation 3, five entries).
+void writeReferenceCache(const std::string &Path) {
   std::string Err;
-  auto digestOf = [](int I) {
-    return unitDigest("func " + std::to_string(I), 0);
-  };
-
-  {
-    AnalysisCache C;
-    ASSERT_TRUE(C.open(P.Path, Err)) << Err;
-    for (int I = 0; I < 12; ++I)
-      C.insert(digestOf(I), sampleEntry("report for function " +
-                                        std::to_string(I)));
-    ASSERT_TRUE(C.save(Err)) << Err;
-    EXPECT_EQ(C.compactions(), 0u); // unbounded: no cap, no compaction
-  }
-  uintmax_t Unbounded = std::filesystem::file_size(P.Path);
-
-  constexpr uint64_t Cap = 2048;
-  ASSERT_GT(Unbounded, Cap) << "test premise: 12 entries exceed the cap";
-  uint64_t HotA = digestOf(7), HotB = digestOf(3);
-  {
-    AnalysisCache C;
-    ASSERT_TRUE(C.open(P.Path, Err)) << Err;
-    C.setMaxBytes(Cap);
-    // Recency is per-process: touch two survivors-to-be, then trigger a
-    // compacting save with one fresh insert (the most recent of all).
-    ASSERT_NE(C.lookup(HotA), nullptr);
-    ASSERT_NE(C.lookup(HotB), nullptr);
-    C.insert(digestOf(100), sampleEntry("the newest entry"));
-    ASSERT_TRUE(C.save(Err)) << Err;
-    EXPECT_EQ(C.compactions(), 1u);
-    // The compacted view keeps serving in-process.
-    ASSERT_NE(C.lookup(digestOf(100)), nullptr);
-  }
-  EXPECT_LE(std::filesystem::file_size(P.Path), Cap);
-
-  // Survivors are the most recently used; the untouched tail is gone.
-  AnalysisCache C2;
-  ASSERT_TRUE(C2.open(P.Path, Err)) << Err;
-  EXPECT_FALSE(C2.invalidated());
-  ASSERT_NE(C2.lookup(digestOf(100)), nullptr);
-  EXPECT_EQ(C2.lookup(digestOf(100))->ReportText, "the newest entry");
-  ASSERT_NE(C2.lookup(HotA), nullptr);
-  ASSERT_NE(C2.lookup(HotB), nullptr);
-  EXPECT_LT(C2.entryCount(), 12u);
-
-  // Repeated capped saves never push the file back over the cap.
-  C2.setMaxBytes(Cap);
-  for (int I = 200; I < 212; ++I) {
-    C2.insert(digestOf(I), sampleEntry("refill " + std::to_string(I)));
-    ASSERT_TRUE(C2.save(Err)) << Err;
-    EXPECT_LE(std::filesystem::file_size(P.Path), Cap);
-  }
+  AnalysisCache A, B;
+  ASSERT_TRUE(A.open(Path, Err)) << Err;
+  A.insert(unitDigest("func a", 0), sampleEntry("report a\n"));
+  A.insert(unitDigest("func b", 1), sampleEntry("report b\n"));
+  ASSERT_TRUE(A.save(Err)) << Err;
+  ASSERT_TRUE(B.open(Path, Err)) << Err;
+  A.insert(unitDigest("func c", 0), sampleEntry("report c\n"));
+  A.insert(unitDigest("func e", 2), sampleEntry("report e\n"));
+  ASSERT_TRUE(A.save(Err)) << Err;
+  B.insert(unitDigest("func d", 32), sampleEntry("report d\n"));
+  ASSERT_TRUE(B.save(Err)) << Err;
 }
 
-TEST(AnalysisCacheTest, StaleGenerationAfterCompactionSwap) {
-  // A live reader whose mmap snapshot predates a compaction swap must (a)
-  // keep serving its own consistent snapshot, (b) detect the swap via
-  // refreshIfChanged, and (c) merge -- not clobber -- on its next save.
-  TempPath P("cache_swap.bin");
+std::string readBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+} // namespace
+
+TEST(AnalysisCacheTest, FileFromEarlierReleaseServesEveryEntry) {
+  // The fixture was written by the code that still had the multi-process
+  // compaction path, on a little-endian host (cache files are host-endian).
+  // The format (v2) is unchanged since: the file must open without
+  // invalidation and serve all of its entries...
+  const std::string Fixture =
+      std::string(BIV_FIXTURE_DIR) + "/cache_v2_reference.bin";
+  TempPath P("cache_v2_reference.bin");
+  std::filesystem::copy_file(Fixture, P.Path);
   std::string Err;
-  auto digestOf = [](int I) {
-    return unitDigest("func " + std::to_string(I), 0);
-  };
-
-  {
-    AnalysisCache Seed;
-    ASSERT_TRUE(Seed.open(P.Path, Err)) << Err;
-    for (int I = 0; I < 10; ++I)
-      Seed.insert(digestOf(I), sampleEntry("seed " + std::to_string(I)));
-    ASSERT_TRUE(Seed.save(Err)) << Err;
+  AnalysisCache C;
+  ASSERT_TRUE(C.open(P.Path, Err)) << Err;
+  EXPECT_FALSE(C.invalidated());
+  EXPECT_EQ(C.generation(), 3u);
+  EXPECT_EQ(C.entryCount(), 5u);
+  const std::pair<const char *, uint64_t> Units[] = {
+      {"a", 0}, {"b", 1}, {"c", 0}, {"d", 32}, {"e", 2}};
+  for (const auto &[Name, Bits] : Units) {
+    const CacheEntry *E =
+        C.lookup(unitDigest(std::string("func ") + Name, Bits));
+    ASSERT_NE(E, nullptr) << Name;
+    CacheEntry Want = sampleEntry(std::string("report ") + Name + "\n");
+    EXPECT_EQ(E->ReportText, Want.ReportText);
+    EXPECT_EQ(E->Counters, Want.Counters);
+    EXPECT_EQ(E->Instructions, Want.Instructions);
   }
+  EXPECT_FALSE(C.invalidated());
 
-  AnalysisCache Reader;
-  ASSERT_TRUE(Reader.open(P.Path, Err)) << Err;
-  uint64_t GenBefore = Reader.generation();
-
-  {
-    AnalysisCache Compactor;
-    ASSERT_TRUE(Compactor.open(P.Path, Err)) << Err;
-    Compactor.setMaxBytes(2048);
-    Compactor.insert(digestOf(50), sampleEntry("tipping point"));
-    ASSERT_TRUE(Compactor.save(Err)) << Err;
-    ASSERT_EQ(Compactor.compactions(), 1u);
-  }
-
-  // (a) The reader's old snapshot still serves -- the swapped-out inode
-  // stays alive under its mapping.
-  ASSERT_NE(Reader.lookup(digestOf(0)), nullptr);
-  // (b) The swap is visible.
-  EXPECT_TRUE(Reader.refreshIfChanged());
-  EXPECT_GT(Reader.generation(), GenBefore);
-  // (c) New work saved from the reader merges into the compacted file.
-  Reader.insert(digestOf(60), sampleEntry("post-swap entry"));
-  ASSERT_TRUE(Reader.save(Err)) << Err;
-  AnalysisCache Check;
-  ASSERT_TRUE(Check.open(P.Path, Err)) << Err;
-  ASSERT_NE(Check.lookup(digestOf(60)), nullptr);
-  ASSERT_NE(Check.lookup(digestOf(50)), nullptr);
+  // ...and today's writer, given the same save sequence, produces the same
+  // bytes.
+  TempPath Now("cache_v2_rewritten.bin");
+  writeReferenceCache(Now.Path);
+  EXPECT_EQ(readBytes(Now.Path), readBytes(Fixture));
 }
 
 TEST(AnalysisCacheTest, TornAppendDegradesToInvalidationOrRetry) {

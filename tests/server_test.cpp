@@ -539,7 +539,7 @@ TEST(ServerTest, TcpFrontendServesByteIdenticalReports) {
 }
 
 TEST(ServerTest, PeriodicFlushPersistsCacheWithoutDrain) {
-  // Fleet workers can die at any time; the cache must reach disk on a
+  // A daemon can die at any time; the cache must reach disk on a
   // cadence, not only at drain.  With the cadence at 1 the very first
   // miss is durable before the client even sees its reply.
   std::string Dir = tempDir();
@@ -582,4 +582,53 @@ TEST(ServerTest, ConnectionsAfterDrainAreRefusedPolitely) {
   Q.OptsBits = DefaultBits;
   Response Late;
   EXPECT_FALSE(call(S.socketPath(), Q, Late, Err));
+}
+
+TEST(ServerTest, SecondDaemonOnALiveSocketIsRefusedFirstKeepsServing) {
+  std::string Dir = tempDir();
+  Server S(Dir + "/d.sock", ServerOptions());
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+
+  Server Intruder(Dir + "/d.sock", ServerOptions());
+  std::string IntruderErr;
+  EXPECT_FALSE(Intruder.start(IntruderErr));
+  EXPECT_NE(IntruderErr.find(Dir + "/d.sock"), std::string::npos)
+      << IntruderErr;
+  EXPECT_NE(IntruderErr.find("already serving"), std::string::npos)
+      << IntruderErr;
+
+  // The refused daemon neither took the path nor removed it: the first
+  // one still answers on it.
+  EXPECT_TRUE(std::filesystem::exists(S.socketPath()));
+  Response R = callOk(S.socketPath(), SimpleSrc);
+  ASSERT_EQ(R.S, Status::Ok) << R.Body;
+  EXPECT_EQ(R.Body, oneShotReport(SimpleSrc));
+  ASSERT_TRUE(Intruder.drain(Err)) << Err;
+  EXPECT_TRUE(std::filesystem::exists(S.socketPath()));
+  ASSERT_TRUE(S.drain(Err)) << Err;
+}
+
+TEST(ServerTest, StaleSocketFileIsReplaced) {
+  // A daemon that died without draining leaves its socket file behind with
+  // nothing accepting on it; the next daemon takes the path over.
+  std::string Dir = tempDir();
+  const std::string Path = Dir + "/d.sock";
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
+  ASSERT_EQ(::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  ::close(Fd); // The file stays; nobody listens on it.
+  ASSERT_TRUE(std::filesystem::is_socket(Path));
+
+  Server S(Path, ServerOptions());
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  Response R = callOk(S.socketPath(), SimpleSrc);
+  ASSERT_EQ(R.S, Status::Ok) << R.Body;
+  EXPECT_EQ(R.Body, oneShotReport(SimpleSrc));
+  ASSERT_TRUE(S.drain(Err)) << Err;
 }

@@ -41,8 +41,7 @@
 //                        cache.bytes counters and the phase.cache timer
 //                        surface through --stats / --stats-json.
 //
-//   bivc --serve SOCKET [-jN] [--admit N] [--cache FILE]
-//        [--workers N] [--serve-tcp HOST:PORT] [--cache-max-bytes N]
+//   bivc --serve SOCKET [-jN] [--admit N] [--cache FILE] [--serve-tcp H:P]
 //     Persistent analysis daemon on a unix-domain socket: each connection
 //     carries one length-prefixed request (source text + option bits) and
 //     receives the same report bytes the one-shot CLI would print.  All
@@ -50,18 +49,12 @@
 //     (-jN, default hardware concurrency).  At most --admit requests
 //     (default 64) are queued-or-running; the next is answered
 //     `overloaded`.  SIGTERM/SIGINT stop accepting, finish every admitted
-//     request, save the cache, and exit.  --stats/--stats-json on the
-//     daemon report server-lifetime counters plus per-request latency and
-//     queue-depth histograms.
-//       --workers N          pre-fork N worker processes sharing the
-//                            listening socket(s); a supervisor respawns
-//                            dead workers with backoff (stats stay
-//                            per-worker)
+//     request, save the cache, and exit.  A SOCKET on which another
+//     daemon is still accepting is refused, never taken over.
+//     --stats/--stats-json on the daemon report server-lifetime counters
+//     plus per-request latency and queue-depth histograms.
 //       --serve-tcp H:P      additional TCP frontend, same protocol
 //                            (connect with `tcp:HOST:PORT`)
-//       --cache-max-bytes N  compact the cache file (LRU-ish eviction,
-//                            atomic rename) whenever a save would push it
-//                            past N bytes
 //
 //   bivc --connect ENDPOINT FILE [--deadline-ms N]
 //   bivc --connect ENDPOINT --server-stats
@@ -96,7 +89,6 @@
 #include "ivclass/Pipeline.h"
 #include "ivclass/Report.h"
 #include "server/Client.h"
-#include "server/Fleet.h"
 #include "server/Server.h"
 #include "ssa/SCCP.h"
 #include "ssa/SSABuilder.h"
@@ -146,11 +138,7 @@ struct CliOptions {
   bool JobsSet = false;
   uint64_t DeadlineMs = 0;
   bool ServerStats = false;
-  unsigned Workers = server::DefaultWorkers;
-  bool WorkersSet = false;
   std::string ServeTcp;
-  uint64_t CacheMaxBytes = server::DefaultCacheMaxBytes;
-  bool CacheMaxSet = false;
 
   // Fuzz mode.
   bool Fuzz = false;
@@ -175,8 +163,7 @@ int usage() {
                "       bivc --batch [-jN] [--summary] [--materialize] "
                "[--summarize] [--cache FILE] FILES...\n"
                "       bivc --serve SOCKET [-jN] [--admit N] "
-               "[--cache FILE] [--workers N]\n"
-               "            [--serve-tcp HOST:PORT] [--cache-max-bytes N]\n"
+               "[--cache FILE] [--serve-tcp HOST:PORT]\n"
                "       bivc --connect ENDPOINT FILE [--deadline-ms N] | "
                "--connect ENDPOINT --server-stats\n"
                "            (ENDPOINT: unix socket path or tcp:HOST:PORT)\n"
@@ -192,10 +179,10 @@ bool numericArg(const char *S) {
 }
 
 /// Strict bounded parse for flags whose value feeds arithmetic (deadline
-/// ns conversion, admission counters, fork counts): the whole string must
-/// be decimal digits -- `-3` or `12x` never silently wraps through
-/// strtoul -- and the value must land in [\p Min, \p Max].  Diagnoses and
-/// returns false otherwise, matching the unknown-flag hard-error policy.
+/// ns conversion, admission counters): the whole string must be decimal
+/// digits -- `-3` or `12x` never silently wraps through strtoul -- and the
+/// value must land in [\p Min, \p Max].  Diagnoses and returns false
+/// otherwise, matching the unknown-flag hard-error policy.
 bool parseBounded(const char *Flag, const std::string &Text, uint64_t Min,
                   uint64_t Max, uint64_t &Out) {
   if (Text.empty() ||
@@ -309,22 +296,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       if (!parseBounded("--deadline-ms", flagValue(A, 13, I, Argc, Argv),
                         1, uint64_t(INT64_MAX) / 1000000u, O.DeadlineMs))
         return false;
-    } else if (A == "--workers" || A.rfind("--workers=", 0) == 0) {
-      uint64_t V = 0;
-      if (!parseBounded("--workers", flagValue(A, 9, I, Argc, Argv), 1,
-                        server::MaxWorkers, V))
-        return false;
-      O.Workers = unsigned(V);
-      O.WorkersSet = true;
-    } else if (A == "--cache-max-bytes" ||
-               A.rfind("--cache-max-bytes=", 0) == 0) {
-      // Below ~4KB not even an empty cache image fits; treat it as the
-      // typo it is rather than thrash compaction forever.
-      if (!parseBounded("--cache-max-bytes",
-                        flagValue(A, 17, I, Argc, Argv), 4096, UINT64_MAX,
-                        O.CacheMaxBytes))
-        return false;
-      O.CacheMaxSet = true;
     } else if (A == "--serve-tcp" || A.rfind("--serve-tcp=", 0) == 0) {
       O.ServeTcp = flagValue(A, 11, I, Argc, Argv);
       if (O.ServeTcp.empty()) {
@@ -407,20 +378,14 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
                    "other modes\n");
       return false;
     }
-    if (O.CacheMaxSet && O.CacheFile.empty()) {
-      std::fprintf(stderr,
-                   "bivc: --cache-max-bytes requires --cache FILE\n");
-      return false;
-    }
     return true;
   }
   if (O.AdmitSet) {
     std::fprintf(stderr, "bivc: --admit only applies to --serve mode\n");
     return false;
   }
-  if (O.WorkersSet || !O.ServeTcp.empty() || O.CacheMaxSet) {
-    std::fprintf(stderr, "bivc: --workers, --serve-tcp, and "
-                         "--cache-max-bytes only apply to --serve mode\n");
+  if (!O.ServeTcp.empty()) {
+    std::fprintf(stderr, "bivc: --serve-tcp only applies to --serve mode\n");
     return false;
   }
   if (!O.ConnectSocket.empty()) {
@@ -600,31 +565,6 @@ int runServe(const CliOptions &O) {
   SO.Threads = O.JobsSet ? O.Jobs : 0;
   SO.AdmitLimit = O.AdmitLimit;
   SO.CachePath = O.CacheFile;
-  SO.CacheMaxBytes = O.CacheMaxBytes;
-  // Fault injection for the soak harness only; see ServerOptions.
-  if (const char *Tok = std::getenv("BIV_SERVE_CRASH_TOKEN"))
-    SO.CrashToken = Tok;
-
-  if (O.Workers > 1) {
-    // Fleet mode: fork first, thread later.  The supervisor owns the
-    // bound sockets and the socket file; stats remain per-worker, so the
-    // daemon-side --stats surfaces are not available here.
-    if (O.statsRequested())
-      std::fprintf(stderr,
-                   "bivc: --stats/--stats-json are per-worker; the fleet "
-                   "supervisor has none to report\n");
-    server::FleetOptions FO;
-    FO.SocketPath = O.ServeSocket;
-    FO.TcpSpec = O.ServeTcp;
-    FO.Workers = O.Workers;
-    FO.Worker = SO;
-    std::fprintf(stderr,
-                 "bivc: fleet of %u workers on %s (admit limit %zu per "
-                 "worker); SIGTERM drains\n",
-                 O.Workers, O.ServeSocket.c_str(), SO.AdmitLimit);
-    return server::runFleet(FO);
-  }
-
   SO.TcpSpec = O.ServeTcp;
   server::Server S(O.ServeSocket, SO);
   std::string Err;

@@ -124,44 +124,6 @@ elif [ "$CODE_CEIL" != "$DOC_CEIL" ]; then
   FAIL=1
 fi
 
-# 6. Fleet constants: the README documents the default worker count and
-# the default cache cap; both live in src/server/Fleet.h and must match.
-CODE_WORKERS=$(sed -n \
-  's/.*DefaultWorkers = \([0-9][0-9]*\);.*/\1/p' src/server/Fleet.h)
-DOC_WORKERS=$(sed -n \
-  's/.*`--workers N`[^|]*|.*default \*\*\([0-9][0-9]*\)\*\*.*/\1/p' \
-  README.md)
-if [ -z "$CODE_WORKERS" ]; then
-  echo "docs_check: cannot find DefaultWorkers in src/server/Fleet.h" >&2
-  FAIL=1
-elif [ -z "$DOC_WORKERS" ]; then
-  echo "docs_check: README.md does not document the default --workers" \
-       "count in bold on its table row" >&2
-  FAIL=1
-elif [ "$CODE_WORKERS" != "$DOC_WORKERS" ]; then
-  echo "docs_check: README.md documents default --workers $DOC_WORKERS" \
-       "but src/server/Fleet.h says $CODE_WORKERS" >&2
-  FAIL=1
-fi
-CODE_CACHE_CAP=$(sed -n \
-  's/.*DefaultCacheMaxBytes = \([0-9][0-9]*\);.*/\1/p' src/server/Fleet.h)
-DOC_CACHE_CAP=$(sed -n \
-  's/.*`--cache-max-bytes N`[^|]*|.*default \*\*\([0-9][0-9]*\)\*\*.*/\1/p' \
-  README.md)
-if [ -z "$CODE_CACHE_CAP" ]; then
-  echo "docs_check: cannot find DefaultCacheMaxBytes in" \
-       "src/server/Fleet.h" >&2
-  FAIL=1
-elif [ -z "$DOC_CACHE_CAP" ]; then
-  echo "docs_check: README.md does not document the default" \
-       "--cache-max-bytes in bold on its table row" >&2
-  FAIL=1
-elif [ "$CODE_CACHE_CAP" != "$DOC_CACHE_CAP" ]; then
-  echo "docs_check: README.md documents default --cache-max-bytes" \
-       "$DOC_CACHE_CAP but src/server/Fleet.h says $CODE_CACHE_CAP" >&2
-  FAIL=1
-fi
-
 # 7. The c-finite lattice extension ships with its documentation: as long
 # as the classifier defines IVKind::CFinite, DESIGN.md must carry the
 # "C-finite lattice extension" section and EXPERIMENTS.md must track the
@@ -279,7 +241,6 @@ if [ "$FAIL" = 0 ]; then
   echo "docs_check: OK ($(echo "$FLAGS" | wc -w) flags," \
        "$(echo "$PATHS" | wc -w) paths, cache salt $CODE_SALT," \
        "protocol version $CODE_PROTO, alloc ceilings $CODE_CEIL/$CODE_BACK," \
-       "fleet defaults $CODE_WORKERS/$CODE_CACHE_CAP," \
        "summarizer $CODE_SUMM_PERIOD/$CODE_SUMM_SAMPLES," \
        "nesting limit $CODE_NEST verified)"
 fi

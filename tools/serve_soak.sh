@@ -7,8 +7,9 @@
 # regression corpus:
 #
 #  1. server_test under TSan: byte-identity, warm shared cache, bounded
-#     admission, deadlines, crash isolation, SIGTERM drain -- the ISSUE's
-#     acceptance matrix with the race detector watching.
+#     admission, deadlines, exception isolation, SIGTERM drain, socket
+#     takeover refusal -- the daemon's lifecycle matrix with the race
+#     detector watching.
 #  2. CLI byte-identity: every corpus report served over the socket must
 #     equal the one-shot `bivc FILE` bytes, cold and warm.
 #  3. Concurrent warm blast: parallel clients hammer the shared cache, then
@@ -18,16 +19,12 @@
 #     counter equals the number of clients that were told so.
 #  5. SIGTERM drain: in-flight clients are answered, the daemon exits 0,
 #     the socket file is gone.
-#  6. Fleet byte-identity: a --workers 3 pre-forked fleet serves the same
-#     corpus byte-identically under concurrent clients, drains on SIGTERM
-#     with exit 0, and its bounded cache never exceeds --cache-max-bytes.
-#  7. Worker crash mid-request: a fault-injected worker _exit()s between
-#     reading a request and replying; the client gets a connection error
-#     (never a hang), the supervisor respawns the worker, and the fleet
-#     keeps serving correct bytes.
-#  8. Compaction under concurrent load: clients hammer a capped cache
-#     across repeated flush/compact cycles from multiple worker processes;
-#     every reply stays byte-identical and the file stays under the cap.
+#  6. Mid-flight flushes and a warm restart: concurrent clients push more
+#     distinct programs than the daemon's flush cadence (CacheFlushEvery,
+#     64 misses) through one daemon with --cache, so the cache file is
+#     appended several times while requests are in flight.  Every reply is
+#     byte-identical to one-shot, SIGTERM drains with exit 0, and a
+#     restarted daemon on the same file answers every program warm.
 #
 # Invoked by `ctest -C stress -R serve_soak` or directly:
 #
@@ -174,149 +171,77 @@ SERVE_PID=""
 echo "serve_soak: overload burst fully answered" \
   "($ANSWERED ok, $REFUSED refused, counter agrees)"
 
-# 6. Fleet byte-identity + bounded cache + clean drain.
-FSOCK="$DIR/fleet.sock"
-FCACHE="$DIR/fleet.cache"
-FCAP=16384
-"$BIVC" --serve "$FSOCK" --workers 3 --cache "$FCACHE" \
-  --cache-max-bytes "$FCAP" -j2 2>"$DIR/fleet.log" &
-SERVE_PID=$!
-wait_for_socket "$FSOCK"
-FLEET_PIDS=""
-for C in 1 2 3 4; do
-  (
-    for F in "$ROOT"/tests/corpus/*.biv; do
-      "$BIVC" "$F" >"$DIR/fleet.$C.one" 2>/dev/null || true
-      "$BIVC" --connect "$FSOCK" "$F" >"$DIR/fleet.$C.served" \
-        2>/dev/null || true
-      cmp -s "$DIR/fleet.$C.one" "$DIR/fleet.$C.served" || exit 1
-    done
-  ) &
-  FLEET_PIDS="$FLEET_PIDS $!"
-done
-for P in $FLEET_PIDS; do
-  if ! wait "$P"; then
-    echo "serve_soak: fleet served bytes differ from one-shot" >&2
-    cat "$DIR/fleet.log" >&2
-    exit 1
-  fi
-done
-kill -TERM "$SERVE_PID"
-if ! wait "$SERVE_PID"; then
-  echo "serve_soak: fleet exited non-zero after SIGTERM:" >&2
-  cat "$DIR/fleet.log" >&2
-  exit 1
-fi
-SERVE_PID=""
-if [ -e "$FSOCK" ]; then
-  echo "serve_soak: fleet left its socket file behind" >&2
-  exit 1
-fi
-FSIZE=$(stat -c %s "$FCACHE" 2>/dev/null || echo 0)
-if [ "$FSIZE" -gt "$FCAP" ]; then
-  echo "serve_soak: fleet cache $FSIZE bytes exceeds cap $FCAP" >&2
-  exit 1
-fi
-echo "serve_soak: fleet byte-identical under concurrent clients," \
-  "cache $FSIZE <= $FCAP, clean drain"
-
-# 7. Worker crash mid-request: error (not a hang) at the client, respawn
-# at the supervisor, correct bytes afterwards.
-CSOCK="$DIR/crash.sock"
-BIV_SERVE_CRASH_TOKEN="BIV_SOAK_BOOM" \
-  "$BIVC" --serve "$CSOCK" --workers 2 2>"$DIR/crash.log" &
-SERVE_PID=$!
-wait_for_socket "$CSOCK"
-printf 'func f(n) { s = 0; for L: i = 1 to n { s = s + i; } return s; }\n// BIV_SOAK_BOOM\n' \
-  >"$DIR/boom.biv"
-set +e
-timeout 30 "$BIVC" --connect "$CSOCK" "$DIR/boom.biv" \
-  >"$DIR/boom.out" 2>"$DIR/boom.err"
-BOOM_RC=$?
-set -e
-if [ "$BOOM_RC" -eq 0 ] || [ "$BOOM_RC" -eq 124 ]; then
-  echo "serve_soak: crash-injected request must fail fast, got rc=$BOOM_RC" >&2
-  cat "$DIR/boom.err" >&2
-  exit 1
-fi
-# The supervisor noticed the death and respawned.
-for _ in $(seq 1 100); do
-  grep -q "respawning" "$DIR/crash.log" && break
-  sleep 0.1
-done
-grep -q "respawning" "$DIR/crash.log" || {
-  echo "serve_soak: supervisor never logged a respawn" >&2
-  cat "$DIR/crash.log" >&2
-  exit 1
-}
-# The fleet keeps serving, correctly, with a full worker complement.
-F="$ROOT"/tests/corpus/linear_chain.biv
-"$BIVC" "$F" >"$DIR/after.one"
-for _ in 1 2 3 4; do
-  "$BIVC" --connect "$CSOCK" "$F" >"$DIR/after.served"
-  cmp "$DIR/after.one" "$DIR/after.served" || {
-    echo "serve_soak: post-crash served bytes differ" >&2
-    exit 1
-  }
-done
-kill -TERM "$SERVE_PID"
-# Exit 1 is the contract here: a worker died, the supervisor aggregates.
-wait "$SERVE_PID" && {
-  echo "serve_soak: supervisor must exit non-zero after a worker death" >&2
-  exit 1
-}
-SERVE_PID=""
-echo "serve_soak: worker crash mid-request -> client error, respawn," \
-  "correct bytes after"
-
-# 8. Compaction under concurrent load: many distinct programs through a
-# tightly capped cache, repeatedly, from several worker processes.
-KSOCK="$DIR/compact.sock"
-KCACHE="$DIR/compact.cache"
-KCAP=8192
-"$BIVC" --serve "$KSOCK" --workers 2 --cache "$KCACHE" \
-  --cache-max-bytes "$KCAP" 2>"$DIR/compact.log" &
-SERVE_PID=$!
-wait_for_socket "$KSOCK"
+# 6. Mid-flight flushes under concurrent clients, then a warm restart.
+FSOCK="$DIR/flush.sock"
+FCACHE="$DIR/flush.cache"
+NPROG=200
 mkdir -p "$DIR/gen"
-for I in $(seq 1 40); do
+for I in $(seq 1 $NPROG); do
   printf 'func f%d(n) { s = %d; for L: i = 1 to n { s = s + i * %d; } return s; }\n' \
     "$I" "$I" "$I" >"$DIR/gen/g$I.biv"
 done
-for PASS in 1 2 3; do
-  KPIDS=""
-  for C in 1 2; do
-    (
-      for G in "$DIR"/gen/*.biv; do
-        "$BIVC" "$G" >"$DIR/k.$C.one" 2>/dev/null || exit 1
-        "$BIVC" --connect "$KSOCK" "$G" >"$DIR/k.$C.served" \
-          2>/dev/null || exit 1
-        cmp -s "$DIR/k.$C.one" "$DIR/k.$C.served" || exit 1
-      done
-    ) &
-    KPIDS="$KPIDS $!"
+# Each client owns one shard of the programs: `served` then compares with
+# the one-shot bytes.  Usage: soak_shard SOCKET CLIENT CLIENTS
+soak_shard() {
+  local I
+  for I in $(seq "$2" "$3" $NPROG); do
+    G="$DIR/gen/g$I.biv"
+    "$BIVC" "$G" >"$DIR/flush.$2.one" 2>/dev/null || return 1
+    "$BIVC" --connect "$1" "$G" >"$DIR/flush.$2.served" 2>/dev/null ||
+      return 1
+    cmp -s "$DIR/flush.$2.one" "$DIR/flush.$2.served" || return 1
   done
-  for P in $KPIDS; do
+}
+# Usage: soak_pass SOCKET LOG WHAT
+soak_pass() {
+  local P PIDS=""
+  for C in 1 2 3 4; do
+    soak_shard "$1" "$C" 4 &
+    PIDS="$PIDS $!"
+  done
+  for P in $PIDS; do
     if ! wait "$P"; then
-      echo "serve_soak: compaction pass $PASS served wrong bytes" >&2
-      cat "$DIR/compact.log" >&2
+      echo "serve_soak: $3 served bytes differ from one-shot" >&2
+      cat "$2" >&2
       exit 1
     fi
   done
-done
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID" || {
-  echo "serve_soak: compaction fleet exited non-zero:" >&2
-  cat "$DIR/compact.log" >&2
-  exit 1
 }
-SERVE_PID=""
-KSIZE=$(stat -c %s "$KCACHE" 2>/dev/null || echo 0)
-if [ "$KSIZE" -gt "$KCAP" ]; then
-  echo "serve_soak: compacted cache $KSIZE bytes exceeds cap $KCAP" >&2
+"$BIVC" --serve "$FSOCK" --cache "$FCACHE" -j4 2>"$DIR/flush.log" &
+SERVE_PID=$!
+wait_for_socket "$FSOCK"
+soak_pass "$FSOCK" "$DIR/flush.log" "cold pass"
+# Only the flush cadence can have written the file before the drain.
+if [ ! -s "$FCACHE" ]; then
+  echo "serve_soak: $NPROG misses left no mid-flight cache flush" >&2
   exit 1
 fi
-echo "serve_soak: compaction under concurrent load held the cap" \
-  "($KSIZE <= $KCAP, 3 passes x 40 programs x 2 clients)"
+kill -TERM "$SERVE_PID"
+if ! wait "$SERVE_PID"; then
+  echo "serve_soak: daemon exited non-zero after SIGTERM:" >&2
+  cat "$DIR/flush.log" >&2
+  exit 1
+fi
+SERVE_PID=""
+"$BIVC" --serve "$FSOCK" --cache "$FCACHE" -j4 2>"$DIR/warm.log" &
+SERVE_PID=$!
+wait_for_socket "$FSOCK"
+soak_pass "$FSOCK" "$DIR/warm.log" "restarted daemon"
+"$BIVC" --connect "$FSOCK" --server-stats >"$DIR/warm.stats.json"
+counter() {
+  grep -o "\"$1\": [0-9]*" "$2" | grep -o '[0-9]*$' || echo 0
+}
+WHITS=$(counter cache.hit "$DIR/warm.stats.json")
+WMISSES=$(counter cache.miss "$DIR/warm.stats.json")
+if [ "$WHITS" -ne "$NPROG" ] || [ "$WMISSES" -ne 0 ]; then
+  echo "serve_soak: restarted daemon was not fully warm" \
+    "($WHITS hits, $WMISSES misses for $NPROG programs)" >&2
+  exit 1
+fi
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_PID=""
+echo "serve_soak: $NPROG programs byte-identical across mid-flight" \
+  "flushes, clean drain, restart fully warm ($WHITS hits)"
 
 echo "serve_soak: OK"
