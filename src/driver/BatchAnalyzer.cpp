@@ -12,10 +12,10 @@ using namespace biv::driver;
 // Function splitting
 //===----------------------------------------------------------------------===//
 
-std::vector<SourceInput>
+std::vector<UnitSource>
 biv::driver::splitFunctions(const SourceInput &File) {
-  const std::string &T = File.Text;
-  std::vector<SourceInput> Units;
+  const std::string_view T = File.Text;
+  std::vector<UnitSource> Units;
   size_t UnitStart = std::string::npos;
   std::string UnitName;
 
@@ -62,7 +62,7 @@ biv::driver::splitFunctions(const SourceInput &File) {
   flush(T.size());
 
   if (Units.empty())
-    return {File}; // no `func` at all; let the parser diagnose it
+    return {{File.Name, T}}; // no `func` at all; let the parser diagnose it
   if (Units.size() == 1)
     Units.front().Name = File.Name; // common case: one function per file
   return Units;
@@ -75,10 +75,11 @@ biv::driver::splitFunctions(const SourceInput &File) {
 BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
                                       const BatchOptions &Opts) {
   // Shard: files -> functions.  Each function is one unit of work.
-  std::vector<SourceInput> Units;
+  // Units view the caller's texts, which outlive this call.
+  std::vector<UnitSource> Units;
   Units.reserve(Sources.size());
   for (const SourceInput &S : Sources)
-    for (SourceInput &U : splitFunctions(S))
+    for (UnitSource &U : splitFunctions(S))
       Units.push_back(std::move(U));
 
   BatchResult R;
@@ -116,8 +117,11 @@ BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
     U.Name = Units[I].Name;
     // Delta the worker thread's stats frame around this unit so the batch
     // can merge per-unit contributions in input order, independent of which
-    // thread ran what.
-    stats::Frame Before = stats::captureFrame();
+    // thread ran what.  Only the moved cells are kept.
+    const stats::Frame Before = stats::captureFrame();
+    auto unitDelta = [&] {
+      return stats::sparseDelta(stats::threadFrame(), Before);
+    };
     try {
       if (Opts.PerUnitHook)
         Opts.PerUnitHook(Units[I]);
@@ -127,7 +131,7 @@ BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
       if (!P) {
         U.OK = false;
         U.Errors = std::move(Errors);
-        U.StatsDelta = stats::captureFrame() - Before;
+        U.StatsDelta = unitDelta();
         return;
       }
       uint64_t Digest = 0;
@@ -156,7 +160,7 @@ BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
           U.Instructions = size_t(CE->Instructions);
           U.Loops = size_t(CE->Loops);
           U.ReportText = CE->ReportText;
-          U.StatsDelta = stats::captureFrame() - Before;
+          U.StatsDelta = unitDelta();
           return;
         }
         NumMisses.bump();
@@ -164,7 +168,7 @@ BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
       // Capture after parse + probe: the entry stores only analysis-phase
       // counter deltas, because a hit still parses (to hash) and those
       // frontend counters fire live.
-      stats::Frame PostParse = stats::captureFrame();
+      const stats::Frame PostParse = stats::captureFrame();
       ivclass::analyzeParsed(*P, PO);
       U.OK = true;
       U.Stats = P->IA->stats();
@@ -180,17 +184,18 @@ BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
         E.Kinds = U.Kinds;
         E.Instructions = U.Instructions;
         E.Loops = U.Loops;
-        E.Counters =
-            stats::snapshotFrame(stats::captureFrame() - PostParse).Counters;
+        E.Counters = stats::snapshotFrame(
+                         stats::sparseDelta(stats::threadFrame(), PostParse))
+                         .Counters;
         NewEntries[I] = {Digest, std::move(E)};
       }
-      U.StatsDelta = stats::captureFrame() - Before;
+      U.StatsDelta = unitDelta();
     } catch (const std::exception &E) {
       // A throwing unit must fail loudly but locally: its siblings finish,
       // the batch reports which unit died, and the driver exits non-zero.
       U.OK = false;
       U.Errors.push_back(std::string("internal error: ") + E.what());
-      U.StatsDelta = stats::captureFrame() - Before;
+      U.StatsDelta = unitDelta();
     }
   };
 
@@ -223,25 +228,32 @@ BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
   // diagnostics still count) in input order: element-wise addition is
   // commutative, so the merged frame is identical for any Jobs value.
   for (const UnitResult &U : R.Units)
-    R.MergedStats += U.StatsDelta;
+    U.StatsDelta.addTo(R.MergedStats);
   return R;
 }
 
 std::string BatchResult::renderText() const {
   std::string Out;
+  render([&Out](std::string_view S) { Out += S; });
+  return Out;
+}
+
+void BatchResult::render(
+    const std::function<void(std::string_view)> &Emit) const {
   for (const UnitResult &U : Units) {
     // Summary-only runs leave ReportText empty; a bare section header for
     // every healthy unit would just be noise, so only failures show.
     if (U.OK && U.ReportText.empty())
       continue;
-    Out += ";; === " + U.Name + " ===\n";
+    Emit(";; === " + U.Name + " ===\n");
     if (!U.OK) {
       for (const std::string &E : U.Errors)
-        Out += ";; error: " + E + "\n";
+        Emit(";; error: " + E + "\n");
       continue;
     }
-    Out += U.ReportText;
+    Emit(U.ReportText);
   }
+  std::string Out;
   Out += ";; === batch summary ===\n";
   Out += ";; units: " + std::to_string(Units.size()) + " (failed " +
          std::to_string(Failed) + "), instructions: " +
@@ -259,5 +271,5 @@ std::string BatchResult::renderText() const {
   Out += ";; regions: " + std::to_string(Stats.Regions) +
          ", exit values materialized: " +
          std::to_string(Stats.ExitValuesMaterialized) + "\n";
-  return Out;
+  Emit(Out);
 }

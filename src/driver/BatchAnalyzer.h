@@ -33,6 +33,7 @@
 #include "support/Stats.h"
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace biv {
@@ -42,6 +43,13 @@ namespace driver {
 struct SourceInput {
   std::string Name;
   std::string Text;
+};
+
+/// One unit of batch work: a function's text, viewed inside the SourceInput
+/// it was split from (valid as long as that input).
+struct UnitSource {
+  std::string Name;
+  std::string_view Text;
 };
 
 /// Batch switches.
@@ -70,7 +78,7 @@ struct BatchOptions {
   /// Test-only: runs at the top of every unit, before its pipeline.  Lets
   /// tests inject a throwing task and assert the batch neither deadlocks
   /// nor drops the unit silently.
-  std::function<void(const SourceInput &)> PerUnitHook;
+  std::function<void(const UnitSource &)> PerUnitHook;
 };
 
 /// What one unit produced.
@@ -83,9 +91,9 @@ struct UnitResult {
   ivclass::KindCounts Kinds;
   size_t Instructions = 0;
   size_t Loops = 0;
-  /// Observability delta for this unit alone: the worker thread's stats
-  /// frame captured before and after the unit's pipeline, subtracted.
-  stats::Frame StatsDelta;
+  /// Observability delta for this unit alone: the cells of the worker
+  /// thread's stats frame that moved during the unit's pipeline.
+  stats::SparseFrame StatsDelta;
 };
 
 /// Everything a batch run produced, in input order.
@@ -96,7 +104,7 @@ struct BatchResult {
   size_t TotalInstructions = 0;
   size_t TotalLoops = 0;
   unsigned Failed = 0;
-  /// Program-wide stats: per-unit deltas merged in input order.  Counter
+  /// Program-wide stats: per-unit deltas summed in input order.  Counter
   /// values (and span counts) are independent of Jobs; only span durations
   /// vary run to run.
   stats::Frame MergedStats;
@@ -104,12 +112,17 @@ struct BatchResult {
   /// Merged human-readable report: per-unit sections in input order plus a
   /// summary footer.  Deterministic across thread counts.
   std::string renderText() const;
+
+  /// The same report in pieces, in order, so a caller can write it out
+  /// without holding a second copy of every unit's text.
+  void render(const std::function<void(std::string_view)> &Emit) const;
 };
 
 /// Splits a file that may hold several top-level `func` declarations into
-/// one SourceInput per function ("name:funcname").  A file without a `func`
-/// keyword comes back unchanged (the parser will diagnose it).
-std::vector<SourceInput> splitFunctions(const SourceInput &File);
+/// one unit per function ("name:funcname"), each viewing its slice of
+/// \p File.Text.  A file without a `func` keyword comes back as one unit
+/// (the parser will diagnose it).
+std::vector<UnitSource> splitFunctions(const SourceInput &File);
 
 /// Analyzes every unit of \p Sources (files are split into functions first)
 /// with \p Opts.Jobs workers.

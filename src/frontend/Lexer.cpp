@@ -84,14 +84,13 @@ const char *biv::frontend::tokenKindName(TokenKind K) {
   return "<bad token kind>";
 }
 
-Lexer::Lexer(std::string Source, biv::support::StringInterner &Strings)
-    : SI(&Strings), Src(std::move(Source)) {
+Lexer::Lexer(std::string_view Source, biv::support::StringInterner &Strings)
+    : SI(&Strings), Src(Source) {
   seedKeywords();
 }
 
-Lexer::Lexer(std::string Source)
-    : Owned(std::make_unique<OwnedStrings>()), SI(&Owned->SI),
-      Src(std::move(Source)) {
+Lexer::Lexer(std::string_view Source)
+    : Owned(std::make_unique<OwnedStrings>()), SI(&Owned->SI), Src(Source) {
   seedKeywords();
 }
 

@@ -21,7 +21,7 @@
 #include "frontend/Token.h"
 #include "support/StringInterner.h"
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace biv {
@@ -32,12 +32,13 @@ namespace frontend {
 class Lexer {
 public:
   /// Lexes into \p Strings (the caller's per-unit interner); identifier
-  /// spellings outlive the lexer and the source buffer.
-  Lexer(std::string Source, support::StringInterner &Strings);
+  /// spellings outlive the lexer and the source buffer.  \p Source is
+  /// borrowed and must outlive the lexer.
+  Lexer(std::string_view Source, support::StringInterner &Strings);
 
   /// Convenience form owning a private interner, for standalone use (tests,
   /// tooling).  Token spellings then live only as long as the lexer.
-  explicit Lexer(std::string Source);
+  explicit Lexer(std::string_view Source);
 
   /// Lexes and returns the next token.
   Token next();
@@ -63,7 +64,7 @@ private:
 
   std::unique_ptr<OwnedStrings> Owned; ///< Only set for standalone lexers.
   support::StringInterner *SI;
-  std::string Src;
+  std::string_view Src;
   size_t Pos = 0;
   SourceLoc Loc;
   SourceLoc TokenStart;

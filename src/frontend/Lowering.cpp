@@ -497,7 +497,7 @@ const biv::stats::Counter NumInternSymbols("intern.symbols");
 } // namespace
 
 std::unique_ptr<ir::Function>
-biv::frontend::parseAndLower(const std::string &Source,
+biv::frontend::parseAndLower(std::string_view Source,
                              std::vector<std::string> &Errors) {
   stats::ScopedSpan Span(ParsePhase);
   Parser P(Source);
@@ -520,7 +520,7 @@ biv::frontend::parseAndLower(const std::string &Source,
 }
 
 std::unique_ptr<ir::Function>
-biv::frontend::parseAndLowerOrDie(const std::string &Source) {
+biv::frontend::parseAndLowerOrDie(std::string_view Source) {
   std::vector<std::string> Errors;
   std::unique_ptr<ir::Function> F = parseAndLower(Source, Errors);
   if (F)

@@ -29,6 +29,7 @@
 #include "ir/Function.h"
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace biv {
@@ -42,12 +43,12 @@ std::unique_ptr<ir::Function> lower(const FuncDecl &Decl,
 
 /// Parses and lowers \p Source in one step (the common entry point for
 /// tests, examples and benches).  Null plus diagnostics on any error.
-std::unique_ptr<ir::Function> parseAndLower(const std::string &Source,
+std::unique_ptr<ir::Function> parseAndLower(std::string_view Source,
                                             std::vector<std::string> &Errors);
 
 /// Like parseAndLower but aborts with the diagnostics on stderr; for tests
 /// whose inputs are known to be valid.
-std::unique_ptr<ir::Function> parseAndLowerOrDie(const std::string &Source);
+std::unique_ptr<ir::Function> parseAndLowerOrDie(std::string_view Source);
 
 } // namespace frontend
 } // namespace biv

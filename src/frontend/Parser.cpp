@@ -11,8 +11,8 @@ const biv::stats::Counter NumTokens("frontend.tokens");
 const biv::stats::Counter NumDiagnostics("frontend.diagnostics");
 } // namespace
 
-Parser::Parser(std::string Source) {
-  Lexer L(std::move(Source), SI);
+Parser::Parser(std::string_view Source) {
+  Lexer L(Source, SI);
   Tokens = L.lexAll();
   NumTokens.bump(Tokens.size());
   if (Tokens.back().is(TokenKind::Error)) {

@@ -24,6 +24,7 @@
 #include "support/Arena.h"
 #include "support/StringInterner.h"
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,7 +44,8 @@ inline constexpr unsigned MaxNestingDepth = 1000;
 /// Parses one function per call; diagnostics accumulate in errors().
 class Parser {
 public:
-  explicit Parser(std::string Source);
+  /// Lexes all of \p Source up front; the parser keeps no reference to it.
+  explicit Parser(std::string_view Source);
 
   /// Parses a single `func`; returns null and records diagnostics on error.
   /// The declaration lives in this parser's arena.

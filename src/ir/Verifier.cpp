@@ -83,15 +83,14 @@ std::vector<std::string> biv::ir::verify(const Function &F) {
         if (isa<Instruction>(Op) && !defined(Op))
           problem(BB, "operand not defined in this function");
       }
-    // Branch targets must be blocks of this function.
+    // Branch targets must be blocks of this function.  Block ids index
+    // F.blocks(), so membership is one lookup; another function's block, or
+    // one removeUnreachableBlocks dropped, is not at its id's slot.
     if (const Instruction *T = BB->terminator())
-      for (const BasicBlock *Succ : T->blocks()) {
-        bool Found = false;
-        for (const BasicBlock *Other : F.blocks())
-          Found |= Other == Succ;
-        if (!Found)
+      for (const BasicBlock *Succ : T->blocks())
+        if (!Succ || Succ->id() >= F.numBlocks() ||
+            F.blocks()[Succ->id()] != Succ)
           problem(BB, "branch to block outside the function");
-      }
   }
   return Problems;
 }

@@ -11,14 +11,18 @@ using namespace biv;
 using namespace biv::ivclass;
 
 std::optional<AnalyzedProgram>
-biv::ivclass::parseSource(const std::string &Source,
+biv::ivclass::parseSource(std::string_view Source,
                           std::vector<std::string> &Errors) {
   AnalyzedProgram P;
   P.F = frontend::parseAndLower(Source, Errors);
   if (!P.F)
     return std::nullopt;
-  P.Info = ssa::buildSSA(*P.F);
-  ssa::verifySSAOrDie(*P.F);
+  // One tree per unit: SSA construction, its verification and the analysis
+  // half all run on this CFG.
+  P.F->recomputePreds();
+  P.DT = std::make_unique<analysis::DominatorTree>(*P.F);
+  P.Info = ssa::buildSSA(*P.F, *P.DT);
+  ssa::verifySSAOrDie(*P.F, *P.DT);
   return P;
 }
 
@@ -28,9 +32,8 @@ void biv::ivclass::analyzeParsed(AnalyzedProgram &P,
     // Fold-only: branch pruning could delete the loops under analysis.
     ssa::runSCCP(*P.F, /*SimplifyCFG=*/false);
     if (Opts.VerifyEach)
-      ssa::verifySSAOrDie(*P.F);
+      ssa::verifySSAOrDie(*P.F, *P.DT);
   }
-  P.DT = std::make_unique<analysis::DominatorTree>(*P.F);
   P.LI = std::make_unique<analysis::LoopInfo>(*P.F, *P.DT);
   P.IA = std::make_unique<InductionAnalysis>(*P.F, *P.DT, *P.LI,
                                              Opts.Analysis);
@@ -38,7 +41,7 @@ void biv::ivclass::analyzeParsed(AnalyzedProgram &P,
 }
 
 std::optional<AnalyzedProgram>
-biv::ivclass::analyzeSource(const std::string &Source,
+biv::ivclass::analyzeSource(std::string_view Source,
                             std::vector<std::string> &Errors,
                             const PipelineOptions &Opts) {
   std::optional<AnalyzedProgram> P = parseSource(Source, Errors);
@@ -60,7 +63,7 @@ biv::ivclass::analyzeSources(const std::vector<std::string> &Sources,
 }
 
 AnalyzedProgram
-biv::ivclass::analyzeSourceOrDie(const std::string &Source,
+biv::ivclass::analyzeSourceOrDie(std::string_view Source,
                                  const PipelineOptions &Opts) {
   std::vector<std::string> Errors;
   std::optional<AnalyzedProgram> P = analyzeSource(Source, Errors, Opts);

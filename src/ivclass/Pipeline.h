@@ -23,6 +23,7 @@
 #include "ssa/SSABuilder.h"
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace biv {
@@ -50,26 +51,29 @@ struct PipelineOptions {
   InductionAnalysis::Options Analysis;
 };
 
-/// Frontend half of analyzeSource: parse, lower, build SSA (and verify it).
-/// Fills only F and Info; DT/LI/IA stay null until analyzeParsed() runs.
-/// Split out so the batch driver can hash the canonical IR print and probe
-/// the analysis cache before paying for the analysis half.
-std::optional<AnalyzedProgram> parseSource(const std::string &Source,
+/// Frontend half of analyzeSource: parse, lower, build the dominator tree,
+/// then SSA on it (and verify it).  Fills F, Info and DT; LI/IA stay null
+/// until analyzeParsed() runs.  Split out so the batch driver can hash the
+/// canonical IR print and probe the analysis cache before paying for the
+/// analysis half.  \p Source is only read during the call.
+std::optional<AnalyzedProgram> parseSource(std::string_view Source,
                                            std::vector<std::string> &Errors);
 
-/// Analysis half: optional constant propagation, dominators, loops, and the
-/// induction-variable analysis, in place on a parseSource() result.
+/// Analysis half: optional constant propagation, loops, and the
+/// induction-variable analysis, in place on a parseSource() result.  The
+/// dominator tree is parseSource()'s: SSA construction and fold-only
+/// constant propagation leave the CFG as it was.
 void analyzeParsed(AnalyzedProgram &P,
                    const PipelineOptions &Opts = PipelineOptions());
 
 /// Parses and analyzes \p Source (parseSource + analyzeParsed).  On error
 /// returns an empty optional and fills \p Errors.
 std::optional<AnalyzedProgram>
-analyzeSource(const std::string &Source, std::vector<std::string> &Errors,
+analyzeSource(std::string_view Source, std::vector<std::string> &Errors,
               const PipelineOptions &Opts = PipelineOptions());
 
 /// Like analyzeSource but aborts with diagnostics (for known-good inputs).
-AnalyzedProgram analyzeSourceOrDie(const std::string &Source,
+AnalyzedProgram analyzeSourceOrDie(std::string_view Source,
                                    const PipelineOptions &Opts =
                                        PipelineOptions());
 

@@ -22,8 +22,8 @@ namespace {
 
 class Builder {
 public:
-  explicit Builder(ir::Function &F)
-      : F(F), DT(F), DF(DT) {}
+  Builder(ir::Function &F, const analysis::DominatorTree &DT)
+      : F(F), DT(DT), DF(DT) {}
 
   SSAInfo run();
 
@@ -50,7 +50,7 @@ private:
   }
 
   ir::Function &F;
-  analysis::DominatorTree DT;
+  const analysis::DominatorTree &DT;
   analysis::DominanceFrontier DF;
   SSAInfo Info;
 
@@ -226,12 +226,18 @@ void Builder::rename(ir::BasicBlock *BB) {
 
 } // namespace
 
-SSAInfo biv::ssa::buildSSA(ir::Function &F) {
+SSAInfo biv::ssa::buildSSA(ir::Function &F,
+                           const analysis::DominatorTree &DT) {
   static const stats::Timer SSAPhase("phase.ssa");
   static const stats::Counter NumPhisPlaced("ssa.phis_placed");
   stats::ScopedSpan Span(SSAPhase);
-  F.recomputePreds();
-  SSAInfo Info = Builder(F).run();
+  SSAInfo Info = Builder(F, DT).run();
   NumPhisPlaced.bump(Info.PhisPlaced);
   return Info;
+}
+
+SSAInfo biv::ssa::buildSSA(ir::Function &F) {
+  F.recomputePreds();
+  analysis::DominatorTree DT(F);
+  return buildSSA(F, DT);
 }

@@ -42,9 +42,15 @@ struct SSAInfo {
                           std::string_view VarName) const;
 };
 
-/// Converts \p F into SSA form in place.  Requires preds to be computed.
-/// Every LoadVar/StoreVar disappears; phis are named after their variable.
+/// Converts \p F into SSA form in place, recomputing preds and building its
+/// own dominator tree.  Every LoadVar/StoreVar disappears; phis are named
+/// after their variable.
 SSAInfo buildSSA(ir::Function &F);
+
+/// The same, on \p DT: a tree built over \p F 's current CFG, with preds
+/// computed.  SSA construction leaves the CFG alone, so the caller can keep
+/// using \p DT afterwards.
+SSAInfo buildSSA(ir::Function &F, const analysis::DominatorTree &DT);
 
 } // namespace ssa
 } // namespace biv

@@ -11,12 +11,12 @@
 using namespace biv;
 using namespace biv::ssa;
 
-std::vector<std::string> biv::ssa::verifySSA(const ir::Function &F) {
-  std::vector<std::string> Problems = ir::verify(F);
-  if (!Problems.empty())
-    return Problems;
+namespace {
 
-  analysis::DominatorTree DT(F);
+/// The SSA checks proper, on IR that passed ir::verify.
+std::vector<std::string> ssaProblems(const ir::Function &F,
+                                     const analysis::DominatorTree &DT) {
+  std::vector<std::string> Problems;
   // The printer walks the whole function and allocates a name per value, so
   // only build it if something is actually wrong.
   std::optional<ir::Printer> LazyP;
@@ -57,8 +57,8 @@ std::vector<std::string> biv::ssa::verifySSA(const ir::Function &F) {
   return Problems;
 }
 
-void biv::ssa::verifySSAOrDie(const ir::Function &F) {
-  std::vector<std::string> Problems = verifySSA(F);
+void dieOnProblems(const ir::Function &F,
+                   const std::vector<std::string> &Problems) {
   if (Problems.empty())
     return;
   std::fprintf(stderr, "SSA verification failed for %s:\n",
@@ -67,4 +67,26 @@ void biv::ssa::verifySSAOrDie(const ir::Function &F) {
     std::fprintf(stderr, "  %s\n", Msg.c_str());
   std::fprintf(stderr, "%s", ir::toString(F).c_str());
   std::abort();
+}
+
+} // namespace
+
+std::vector<std::string> biv::ssa::verifySSA(const ir::Function &F) {
+  // A structurally broken CFG is reported before a tree is built over it.
+  std::vector<std::string> Problems = ir::verify(F);
+  if (!Problems.empty())
+    return Problems;
+  return ssaProblems(F, analysis::DominatorTree(F));
+}
+
+void biv::ssa::verifySSAOrDie(const ir::Function &F) {
+  dieOnProblems(F, verifySSA(F));
+}
+
+void biv::ssa::verifySSAOrDie(const ir::Function &F,
+                              const analysis::DominatorTree &DT) {
+  std::vector<std::string> Problems = ir::verify(F);
+  if (Problems.empty())
+    Problems = ssaProblems(F, DT);
+  dieOnProblems(F, Problems);
 }

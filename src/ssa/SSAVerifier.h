@@ -15,6 +15,7 @@
 #ifndef BEYONDIV_SSA_SSAVERIFIER_H
 #define BEYONDIV_SSA_SSAVERIFIER_H
 
+#include "analysis/DominatorTree.h"
 #include "ir/Function.h"
 #include <string>
 #include <vector>
@@ -27,6 +28,10 @@ std::vector<std::string> verifySSA(const ir::Function &F);
 
 /// Aborts with diagnostics when verifySSA(F) is non-empty.
 void verifySSAOrDie(const ir::Function &F);
+
+/// The same, checking dominance on \p DT, a tree of \p F 's current CFG,
+/// instead of building one.
+void verifySSAOrDie(const ir::Function &F, const analysis::DominatorTree &DT);
 
 } // namespace ssa
 } // namespace biv

@@ -109,19 +109,49 @@ Frame &biv::stats::threadFrame() {
 
 Frame biv::stats::captureFrame() { return threadFrame(); }
 
+TimerCell &TimerCell::operator+=(const TimerCell &O) {
+  Ns += O.Ns;
+  Spans += O.Spans;
+  return *this;
+}
+
+TimerCell TimerCell::operator-(const TimerCell &O) const {
+  return {Ns - O.Ns, Spans - O.Spans};
+}
+
+HistCell &HistCell::operator+=(const HistCell &O) {
+  Count += O.Count;
+  Sum += O.Sum;
+  for (unsigned B = 0; B < HistBuckets; ++B)
+    Buckets[B] += O.Buckets[B];
+  return *this;
+}
+
+HistCell HistCell::operator-(const HistCell &O) const {
+  HistCell D;
+  D.Count = Count - O.Count;
+  D.Sum = Sum - O.Sum;
+  for (unsigned B = 0; B < HistBuckets; ++B)
+    D.Buckets[B] = Buckets[B] - O.Buckets[B];
+  return D;
+}
+
+bool HistCell::isZero() const {
+  if (Count != 0 || Sum != 0)
+    return false;
+  for (uint64_t B : Buckets)
+    if (B != 0)
+      return false;
+  return true;
+}
+
 Frame &Frame::operator+=(const Frame &O) {
   for (unsigned I = 0; I < MaxCounters; ++I)
     Counters[I] += O.Counters[I];
-  for (unsigned I = 0; I < MaxTimers; ++I) {
-    Timers[I].Ns += O.Timers[I].Ns;
-    Timers[I].Spans += O.Timers[I].Spans;
-  }
-  for (unsigned I = 0; I < MaxHistograms; ++I) {
-    Hists[I].Count += O.Hists[I].Count;
-    Hists[I].Sum += O.Hists[I].Sum;
-    for (unsigned B = 0; B < HistBuckets; ++B)
-      Hists[I].Buckets[B] += O.Hists[I].Buckets[B];
-  }
+  for (unsigned I = 0; I < MaxTimers; ++I)
+    Timers[I] += O.Timers[I];
+  for (unsigned I = 0; I < MaxHistograms; ++I)
+    Hists[I] += O.Hists[I];
   return *this;
 }
 
@@ -129,17 +159,58 @@ Frame Frame::operator-(const Frame &O) const {
   Frame D;
   for (unsigned I = 0; I < MaxCounters; ++I)
     D.Counters[I] = Counters[I] - O.Counters[I];
-  for (unsigned I = 0; I < MaxTimers; ++I) {
-    D.Timers[I].Ns = Timers[I].Ns - O.Timers[I].Ns;
-    D.Timers[I].Spans = Timers[I].Spans - O.Timers[I].Spans;
-  }
-  for (unsigned I = 0; I < MaxHistograms; ++I) {
-    D.Hists[I].Count = Hists[I].Count - O.Hists[I].Count;
-    D.Hists[I].Sum = Hists[I].Sum - O.Hists[I].Sum;
-    for (unsigned B = 0; B < HistBuckets; ++B)
-      D.Hists[I].Buckets[B] = Hists[I].Buckets[B] - O.Hists[I].Buckets[B];
-  }
+  for (unsigned I = 0; I < MaxTimers; ++I)
+    D.Timers[I] = Timers[I] - O.Timers[I];
+  for (unsigned I = 0; I < MaxHistograms; ++I)
+    D.Hists[I] = Hists[I] - O.Hists[I];
   return D;
+}
+
+namespace {
+
+bool isZero(uint64_t V) { return V == 0; }
+bool isZero(const TimerCell &C) { return C.isZero(); }
+bool isZero(const HistCell &C) { return C.isZero(); }
+
+/// Appends the non-zero cells of `After[I] - Before[I]` to \p Out, sized
+/// exactly: the per-unit result keeps the vector for the rest of the batch.
+template <typename T>
+void appendNonZero(std::vector<SparseCell<T>> &Out, const T *After,
+                   const T *Before, unsigned N) {
+  unsigned NonZero = 0;
+  for (unsigned I = 0; I < N; ++I)
+    NonZero += !isZero(T(After[I] - Before[I]));
+  Out.reserve(NonZero);
+  for (unsigned I = 0; I < N && Out.size() < NonZero; ++I) {
+    T D = After[I] - Before[I];
+    if (!isZero(D))
+      Out.push_back({I, D});
+  }
+}
+
+} // namespace
+
+SparseFrame biv::stats::sparseDelta(const Frame &After, const Frame &Before) {
+  SparseFrame S;
+  appendNonZero(S.Counters, After.Counters, Before.Counters, MaxCounters);
+  appendNonZero(S.Timers, After.Timers, Before.Timers, MaxTimers);
+  appendNonZero(S.Hists, After.Hists, Before.Hists, MaxHistograms);
+  return S;
+}
+
+void SparseFrame::addTo(Frame &F) const {
+  for (const SparseCell<uint64_t> &C : Counters)
+    F.Counters[C.Idx] += C.Val;
+  for (const SparseCell<TimerCell> &C : Timers)
+    F.Timers[C.Idx] += C.Val;
+  for (const SparseCell<HistCell> &C : Hists)
+    F.Hists[C.Idx] += C.Val;
+}
+
+Frame SparseFrame::dense() const {
+  Frame F;
+  addTo(F);
+  return F;
 }
 
 //===----------------------------------------------------------------------===//
@@ -147,22 +218,29 @@ Frame Frame::operator-(const Frame &O) const {
 //===----------------------------------------------------------------------===//
 
 StatsSnapshot biv::stats::snapshotFrame(const Frame &F) {
+  static const Frame Zero;
+  return snapshotFrame(sparseDelta(F, Zero));
+}
+
+StatsSnapshot biv::stats::snapshotFrame(const SparseFrame &F) {
+  // Cells past the registered names cannot have been bumped; skip them
+  // rather than index past the name tables.
   StatsSnapshot S;
   std::vector<const char *> CN = registry().counterNames();
-  for (unsigned I = 0; I < CN.size(); ++I)
-    if (F.Counters[I] != 0)
-      S.Counters[CN[I]] = F.Counters[I];
+  for (const SparseCell<uint64_t> &C : F.Counters)
+    if (C.Idx < CN.size())
+      S.Counters[CN[C.Idx]] = C.Val;
   std::vector<const char *> TN = registry().timerNames();
-  for (unsigned I = 0; I < TN.size(); ++I)
-    if (F.Timers[I].Spans != 0 || F.Timers[I].Ns != 0)
-      S.Timers[TN[I]] = {F.Timers[I].Spans, F.Timers[I].Ns};
+  for (const SparseCell<TimerCell> &C : F.Timers)
+    if (C.Idx < TN.size())
+      S.Timers[TN[C.Idx]] = {C.Val.Spans, C.Val.Ns};
   std::vector<const char *> HN = registry().histNames();
-  for (unsigned I = 0; I < HN.size(); ++I)
-    if (F.Hists[I].Count != 0) {
-      HistValue &H = S.Hists[HN[I]];
-      H.Count = F.Hists[I].Count;
-      H.Sum = F.Hists[I].Sum;
-      H.Buckets.assign(F.Hists[I].Buckets, F.Hists[I].Buckets + HistBuckets);
+  for (const SparseCell<HistCell> &C : F.Hists)
+    if (C.Idx < HN.size() && C.Val.Count != 0) {
+      HistValue &H = S.Hists[HN[C.Idx]];
+      H.Count = C.Val.Count;
+      H.Sum = C.Val.Sum;
+      H.Buckets.assign(C.Val.Buckets, C.Val.Buckets + HistBuckets);
     }
   return S;
 }

@@ -18,11 +18,12 @@
 ///  - The hot path is a plain `thread_local` array increment -- no locks, no
 ///    allocation, no branches.  A scoped timer reads the steady clock twice.
 ///  - Aggregation is *explicit*: a worker captures its thread's `Frame` (a
-///    POD array copy), subtracts a baseline to get a per-unit delta, and the
-///    driver merges deltas in input order.  Because merge is plain element
-///    wise addition it is associative and commutative, so the merged result
-///    is independent of worker count and scheduling -- `--batch -j1` and
-///    `-j8` produce byte-identical fingerprints.
+///    POD array copy) as a baseline, keeps only the cells that moved since
+///    as a per-unit `SparseFrame`, and the driver merges those in input
+///    order.  Because merge is plain element-wise addition it is associative
+///    and commutative, so the merged result is independent of worker count
+///    and scheduling -- `--batch -j1` and `-j8` produce byte-identical
+///    fingerprints.
 ///  - Wall-clock span *durations* are the one legitimately nondeterministic
 ///    field, so `StatsSnapshot::fingerprint()` (the determinism-check
 ///    rendering) covers counters and span counts but not nanoseconds.
@@ -62,6 +63,10 @@ inline constexpr unsigned HistBuckets = 32;
 struct TimerCell {
   uint64_t Ns = 0;
   uint64_t Spans = 0;
+
+  TimerCell &operator+=(const TimerCell &O);
+  TimerCell operator-(const TimerCell &O) const;
+  bool isZero() const { return Ns == 0 && Spans == 0; }
 };
 
 /// One histogram cell: observation count, value sum, and log2 buckets.
@@ -72,6 +77,10 @@ struct HistCell {
   uint64_t Count = 0;
   uint64_t Sum = 0;
   uint64_t Buckets[HistBuckets] = {};
+
+  HistCell &operator+=(const HistCell &O);
+  HistCell operator-(const HistCell &O) const;
+  bool isZero() const;
 };
 
 /// The calling thread's raw cells.  POD so capture is a struct copy.
@@ -86,6 +95,31 @@ struct Frame {
   /// Element-wise delta: `after - before` isolates one unit's work.
   Frame operator-(const Frame &O) const;
 };
+
+/// One non-zero cell of a SparseFrame: its dense index and value.
+template <typename T> struct SparseCell {
+  uint32_t Idx;
+  T Val;
+};
+
+/// The non-zero cells of a frame, in index order.  A batch unit touches a
+/// few dozen of the frame's ~900 words, so per-unit results keep this form
+/// and build a dense Frame only where a caller needs one.
+struct SparseFrame {
+  std::vector<SparseCell<uint64_t>> Counters;
+  std::vector<SparseCell<TimerCell>> Timers;
+  std::vector<SparseCell<HistCell>> Hists;
+
+  /// Adds every cell into \p F: the same sums as `F += dense()`.
+  void addTo(Frame &F) const;
+  /// The dense frame these cells describe.
+  Frame dense() const;
+};
+
+/// The non-zero cells of `After - Before`, computed cell by cell without a
+/// dense temporary.  Pass threadFrame() as \p After to take the work done
+/// on this thread since \p Before was captured.
+SparseFrame sparseDelta(const Frame &After, const Frame &Before);
 
 /// The calling thread's live frame.  Cells grow monotonically; consumers
 /// take before/after copies and subtract.
@@ -223,6 +257,7 @@ struct StatsSnapshot {
 
 /// Resolves \p F's cells to their registered names, dropping zero entries.
 StatsSnapshot snapshotFrame(const Frame &F);
+StatsSnapshot snapshotFrame(const SparseFrame &F);
 
 } // namespace stats
 } // namespace biv

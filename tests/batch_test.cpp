@@ -115,7 +115,7 @@ TEST(BatchTest, SplitsTopLevelFunctions) {
       "func first(n) {\n  s = 0;\n  for L1: i = 1 to n { s = s + 1; }\n"
       "  return s;\n}\n"
       "func second(n) {\n  return n;\n}\n"};
-  std::vector<driver::SourceInput> Units = driver::splitFunctions(File);
+  std::vector<driver::UnitSource> Units = driver::splitFunctions(File);
   ASSERT_EQ(Units.size(), 2u);
   EXPECT_EQ(Units[0].Name, "two.biv:first");
   EXPECT_EQ(Units[1].Name, "two.biv:second");
@@ -123,7 +123,7 @@ TEST(BatchTest, SplitsTopLevelFunctions) {
 
 TEST(BatchTest, SingleFunctionKeepsFileName) {
   driver::SourceInput File{"one.biv", "func only(n) {\n  return n;\n}\n"};
-  std::vector<driver::SourceInput> Units = driver::splitFunctions(File);
+  std::vector<driver::UnitSource> Units = driver::splitFunctions(File);
   ASSERT_EQ(Units.size(), 1u);
   EXPECT_EQ(Units[0].Name, "one.biv");
 }
@@ -257,7 +257,7 @@ TEST(BatchTest, ThrowingUnitFailsBatchWithoutDeadlock) {
                        "  return s;\n}\n"});
   driver::BatchOptions BO;
   BO.Jobs = 4;
-  BO.PerUnitHook = [](const driver::SourceInput &U) {
+  BO.PerUnitHook = [](const driver::UnitSource &U) {
     if (U.Name == "u7")
       throw std::runtime_error("injected fault");
   };
@@ -325,6 +325,32 @@ TEST(BatchCacheTest, WarmRunIsByteIdenticalAndFullyHit) {
   Plain.Cache = nullptr;
   EXPECT_EQ(driver::analyzeBatch(Sources, Plain).renderText(),
             Cold.renderText());
+}
+
+TEST(BatchCacheTest, OneDominatorTreePerUnit) {
+  // parseSource builds the unit's tree once; SSA construction, both SSA
+  // verifications and the analysis half reuse it, and a cache hit stops
+  // after the frontend.  Each opened its own tree before: 4 spans per
+  // analyzed unit with VerifyEach, 2 per hit.
+  std::vector<bench::CorpusUnit> Corpus = bench::genCorpus(12, /*Seed=*/7);
+  std::vector<driver::SourceInput> Sources;
+  for (const bench::CorpusUnit &U : Corpus)
+    Sources.push_back({U.Name, U.Text});
+  cache::AnalysisCache Cache;
+  driver::BatchOptions BO;
+  BO.Jobs = 2;
+  BO.VerifyEach = true;
+  BO.Cache = &Cache;
+  driver::BatchResult Cold = driver::analyzeBatch(Sources, BO);
+  driver::BatchResult Warm = driver::analyzeBatch(Sources, BO);
+  ASSERT_EQ(Cold.Failed, 0u);
+  ASSERT_EQ(Warm.Failed, 0u);
+  for (const driver::BatchResult *R : {&Cold, &Warm})
+    for (const driver::UnitResult &U : R->Units) {
+      stats::StatsSnapshot S = stats::snapshotFrame(U.StatsDelta);
+      EXPECT_EQ(S.Timers["phase.domtree"].Spans, 1u) << U.Name;
+      EXPECT_EQ(S.Counters["cache.hit"], R == &Warm ? 1u : 0u) << U.Name;
+    }
 }
 
 TEST(BatchCacheTest, OptionChangesMissInsteadOfCrossContaminating) {

@@ -164,6 +164,51 @@ TEST(IRTest, RemoveUnreachablePrunesPhiIncomings) {
   EXPECT_TRUE(verify(D.F).empty());
 }
 
+TEST(IRTest, VerifierCatchesBranchIntoAnotherFunction) {
+  // The stray target's id is in range for F, so only the slot comparison,
+  // not the bounds check, can catch it.
+  Diamond Other;
+  Function F("stray");
+  BasicBlock *Entry = F.createBlock("entry");
+  BasicBlock *Exit = F.createBlock("exit");
+  IRBuilder B(F, Entry);
+  B.br(Other.Then);
+  B.setInsertBlock(Exit);
+  B.ret();
+  ASSERT_LT(Other.Then->id(), F.numBlocks());
+  std::vector<std::string> Problems = verify(F);
+  ASSERT_EQ(Problems.size(), 1u);
+  EXPECT_NE(Problems[0].find("branch to block outside the function"),
+            std::string::npos);
+}
+
+TEST(IRTest, VerifierCatchesBranchToRemovedBlock) {
+  // entry -> exit, plus an unreachable `dead` between them; after
+  // removeUnreachableBlocks, dead keeps id 1, which now names exit's slot.
+  Function F("f");
+  BasicBlock *Entry = F.createBlock("entry");
+  BasicBlock *Dead = F.createBlock("dead");
+  BasicBlock *Exit = F.createBlock("exit");
+  IRBuilder B(F, Entry);
+  B.br(Exit);
+  B.setInsertBlock(Dead);
+  B.br(Exit);
+  B.setInsertBlock(Exit);
+  B.ret();
+  F.recomputePreds();
+  EXPECT_EQ(F.removeUnreachableBlocks(), 1u);
+  ASSERT_TRUE(verify(F).empty());
+  BasicBlock *Late = F.createBlock("late");
+  B.setInsertBlock(Late);
+  B.br(Dead);
+  F.recomputePreds();
+  ASSERT_LT(Dead->id(), F.numBlocks());
+  std::vector<std::string> Problems = verify(F);
+  ASSERT_EQ(Problems.size(), 1u);
+  EXPECT_NE(Problems[0].find("branch to block outside the function"),
+            std::string::npos);
+}
+
 TEST(IRTest, ReplaceAllUsesWith) {
   Function F("f");
   BasicBlock *BB = F.createBlock("entry");

@@ -2,7 +2,8 @@
 //
 // Covers the support/Stats registry end to end: name interning, thread-local
 // frames and delta capture, scoped-span nesting, cross-thread merge
-// associativity, the schema-v1 JSON golden rendering, and the pipeline-level
+// associativity, sparse per-unit frames (round trip and merge against the
+// dense ops), the schema-v1 JSON golden rendering, and the pipeline-level
 // guarantee that the per-kind counters agree with the Report's own counts.
 //
 //===----------------------------------------------------------------------===//
@@ -11,7 +12,9 @@
 #include "ivclass/Pipeline.h"
 #include "ivclass/Report.h"
 #include "support/Stats.h"
+#include <cstring>
 #include <gtest/gtest.h>
+#include <random>
 #include <thread>
 
 using namespace biv;
@@ -149,6 +152,93 @@ TEST(StatsTest, SnapshotMergeMatchesFrameMerge) {
   F += D2;
   EXPECT_EQ(Sum.fingerprint(), stats::snapshotFrame(F).fingerprint());
   EXPECT_EQ(Sum.Counters.at("test.merge2.counter"), 12u);
+}
+
+//===----------------------------------------------------------------------===//
+// Sparse frames
+//===----------------------------------------------------------------------===//
+
+// Frames are arrays of uint64_t with no padding, so bytewise equality is
+// cell equality.
+bool sameFrame(const stats::Frame &A, const stats::Frame &B) {
+  return std::memcmp(&A, &B, sizeof(stats::Frame)) == 0;
+}
+
+/// A seeded frame with about one cell in \p OneIn set, histograms included
+/// (bucket by bucket, so Count and Sum need not agree with the buckets).
+stats::Frame randomFrame(std::mt19937_64 &Rng, unsigned OneIn) {
+  auto Pick = [&]() -> uint64_t {
+    return Rng() % OneIn == 0 ? Rng() >> (Rng() % 64) : 0;
+  };
+  stats::Frame F;
+  for (uint64_t &C : F.Counters)
+    C = Pick();
+  for (stats::TimerCell &T : F.Timers)
+    T = {Pick(), Pick()};
+  for (stats::HistCell &H : F.Hists) {
+    H.Count = Pick();
+    H.Sum = Pick();
+    for (uint64_t &B : H.Buckets)
+      B = Pick();
+  }
+  return F;
+}
+
+TEST(StatsSparseTest, RoundTripGivesBackTheDenseFrame) {
+  std::mt19937_64 Rng(20260418);
+  const stats::Frame Zero;
+  for (unsigned OneIn : {1u, 3u, 40u, 1000000u}) {
+    for (int Round = 0; Round < 20; ++Round) {
+      stats::Frame F = randomFrame(Rng, OneIn);
+      stats::SparseFrame S = stats::sparseDelta(F, Zero);
+      EXPECT_TRUE(sameFrame(S.dense(), F)) << "1 in " << OneIn;
+      // Only moved cells are kept.
+      for (const auto &C : S.Counters)
+        EXPECT_NE(C.Val, 0u);
+      for (const auto &C : S.Timers)
+        EXPECT_FALSE(C.Val.isZero());
+      for (const auto &C : S.Hists)
+        EXPECT_FALSE(C.Val.isZero());
+
+      // A delta against a non-zero baseline is `After - Before`, wrapping
+      // included.
+      stats::Frame Before = randomFrame(Rng, OneIn);
+      stats::Frame After = Before;
+      After += randomFrame(Rng, OneIn);
+      EXPECT_TRUE(
+          sameFrame(stats::sparseDelta(After, Before).dense(), After - Before));
+    }
+  }
+  EXPECT_TRUE(stats::sparseDelta(Zero, Zero).Counters.empty());
+}
+
+TEST(StatsSparseTest, AddingCellsEqualsDenseMerge) {
+  std::mt19937_64 Rng(7);
+  const stats::Frame Zero;
+  for (unsigned OneIn : {1u, 5u, 100u}) {
+    stats::Frame Dense = randomFrame(Rng, OneIn);
+    stats::Frame ViaSparse = Dense;
+    for (int Unit = 0; Unit < 10; ++Unit) {
+      stats::Frame D = randomFrame(Rng, OneIn);
+      Dense += D;
+      stats::sparseDelta(D, Zero).addTo(ViaSparse);
+    }
+    EXPECT_TRUE(sameFrame(Dense, ViaSparse)) << "1 in " << OneIn;
+  }
+}
+
+TEST(StatsSparseTest, SnapshotOfSparseMatchesSnapshotOfDense) {
+  stats::Counter C("test.sparse.counter");
+  stats::Timer T("test.sparse.timer");
+  stats::Histogram H("test.sparse.hist");
+  stats::Frame Before = stats::captureFrame();
+  C.bump(3);
+  { stats::ScopedSpan Span(T); }
+  H.observe(100);
+  stats::SparseFrame S = stats::sparseDelta(stats::threadFrame(), Before);
+  EXPECT_EQ(stats::snapshotFrame(S).renderJson(),
+            stats::snapshotFrame(deltaOf(Before)).renderJson());
+  EXPECT_EQ(stats::snapshotFrame(S).Counters.at("test.sparse.counter"), 3u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -522,8 +522,11 @@ int runBatch(const CliOptions &O) {
   }
 
   driver::BatchResult R = driver::analyzeBatch(Sources, BO);
-  std::string Text = R.renderText();
-  std::fwrite(Text.data(), 1, Text.size(), stdout);
+  // Each unit's section goes out as it is rendered: no second copy of the
+  // whole report.
+  R.render([](std::string_view S) {
+    std::fwrite(S.data(), 1, S.size(), stdout);
+  });
 
   if (!O.CacheFile.empty()) {
     std::string Err;
@@ -678,12 +681,15 @@ int main(int Argc, char **Argv) {
                 O.PeelLoop.c_str());
   }
 
-  ssa::SSAInfo Info = ssa::buildSSA(*F);
-  ssa::verifySSAOrDie(*F);
+  // One dominator tree serves SSA construction, its verification and the
+  // analysis: neither SSA nor fold-only SCCP changes the CFG.
+  F->recomputePreds();
+  analysis::DominatorTree DT(*F);
+  ssa::SSAInfo Info = ssa::buildSSA(*F, DT);
+  ssa::verifySSAOrDie(*F, DT);
   if (O.RunSCCP)
     ssa::runSCCP(*F, /*SimplifyCFG=*/false);
 
-  analysis::DominatorTree DT(*F);
   analysis::LoopInfo LI(*F, DT);
   ivclass::InductionAnalysis::Options AO;
   AO.Summarize = O.Summarize;

@@ -237,10 +237,35 @@ elif [ "$CODE_BACK" != "$DOC_BACK" ]; then
   FAIL=1
 fi
 
+# 11. Same contract for the batch-result memory ceiling: DESIGN.md
+# section 11 states the current BatchResultBytesPerUnit in bold, and
+# tests/alloc_ceiling_test.cpp fails when a batch result holds more live
+# heap per unit; doc and assertion must move together.
+CODE_HELD=$(sed -n \
+  's/.*BatchResultBytesPerUnit = \([0-9][0-9]*\);.*/\1/p' \
+  tests/alloc_ceiling_test.cpp)
+DOC_HELD=$(sed -n \
+  's/.*`BatchResultBytesPerUnit` (currently \*\*\([0-9][0-9]*\)\*\*.*/\1/p' \
+  DESIGN.md)
+if [ -z "$CODE_HELD" ]; then
+  echo "docs_check: cannot find BatchResultBytesPerUnit in" \
+       "tests/alloc_ceiling_test.cpp" >&2
+  FAIL=1
+elif [ -z "$DOC_HELD" ]; then
+  echo "docs_check: DESIGN.md does not document the current" \
+       "BatchResultBytesPerUnit" >&2
+  FAIL=1
+elif [ "$CODE_HELD" != "$DOC_HELD" ]; then
+  echo "docs_check: DESIGN.md documents BatchResultBytesPerUnit" \
+       "$DOC_HELD but tests/alloc_ceiling_test.cpp says $CODE_HELD" >&2
+  FAIL=1
+fi
+
 if [ "$FAIL" = 0 ]; then
   echo "docs_check: OK ($(echo "$FLAGS" | wc -w) flags," \
        "$(echo "$PATHS" | wc -w) paths, cache salt $CODE_SALT," \
-       "protocol version $CODE_PROTO, alloc ceilings $CODE_CEIL/$CODE_BACK," \
+       "protocol version $CODE_PROTO," \
+       "alloc ceilings $CODE_CEIL/$CODE_BACK/$CODE_HELD," \
        "summarizer $CODE_SUMM_PERIOD/$CODE_SUMM_SAMPLES," \
        "nesting limit $CODE_NEST verified)"
 fi
