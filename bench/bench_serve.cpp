@@ -21,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "WorkloadGen.h"
+#include "driver/Unit.h"
 #include "server/Client.h"
 #include "server/Server.h"
 #include "support/Stats.h"
@@ -41,9 +42,8 @@ using namespace biv;
 
 namespace {
 
-// The one-shot CLI's default bits: RunSCCP | Materialize | Classify |
-// NestedTuples.
-constexpr uint64_t DefaultBits = 1 | 2 | 4 | 16;
+// What `bivc --connect` sends without flags: the one-shot switches.
+const uint64_t DefaultBits = driver::AnalysisOptions::oneShot().bits();
 
 /// Counter \p Name in \p S; zero when it never fired.
 uint64_t counterOf(const stats::StatsSnapshot &S, const char *Name) {

@@ -2,7 +2,6 @@
 
 #include "driver/BatchAnalyzer.h"
 #include "driver/ThreadPool.h"
-#include "ir/Printer.h"
 #include <cctype>
 
 using namespace biv;
@@ -85,26 +84,6 @@ BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
   BatchResult R;
   R.Units.resize(Units.size());
 
-  ivclass::PipelineOptions PO;
-  PO.RunSCCP = Opts.RunSCCP;
-  PO.VerifyEach = Opts.VerifyEach;
-  PO.Analysis.MaterializeExitValues = Opts.MaterializeExitValues;
-  PO.Analysis.Summarize = Opts.Summarize;
-
-  static const stats::Counter NumHits("cache.hit");
-  static const stats::Counter NumMisses("cache.miss");
-  static const stats::Counter NumBytes("cache.bytes");
-  static const stats::Timer CacheTimer("phase.cache");
-
-  // Only the switches that change result bytes feed the digest; VerifyEach
-  // and Jobs cannot alter what a unit produces.
-  const uint64_t OptsBits = (Opts.RunSCCP ? 1u : 0u) |
-                            (Opts.MaterializeExitValues ? 2u : 0u) |
-                            (Opts.Classify ? 4u : 0u) |
-                            (Opts.Report.AllValues ? 8u : 0u) |
-                            (Opts.Report.NestedTuples ? 16u : 0u) |
-                            (Opts.Summarize ? 32u : 0u);
-
   // Miss results parked per slot; the driver thread commits them to the
   // cache in input order after the pool drains (digest 0 = nothing to add).
   std::vector<std::pair<uint64_t, cache::CacheEntry>> NewEntries(
@@ -119,84 +98,27 @@ BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
     // can merge per-unit contributions in input order, independent of which
     // thread ran what.  Only the moved cells are kept.
     const stats::Frame Before = stats::captureFrame();
-    auto unitDelta = [&] {
-      return stats::sparseDelta(stats::threadFrame(), Before);
-    };
     try {
       if (Opts.PerUnitHook)
         Opts.PerUnitHook(Units[I]);
-      std::vector<std::string> Errors;
-      std::optional<ivclass::AnalyzedProgram> P =
-          ivclass::parseSource(Units[I].Text, Errors);
-      if (!P) {
-        U.OK = false;
-        U.Errors = std::move(Errors);
-        U.StatsDelta = unitDelta();
-        return;
-      }
-      uint64_t Digest = 0;
-      if (Opts.Cache) {
-        // The span must close before the hit path captures StatsDelta,
-        // or the warm run's phase.cache time lands outside the unit's
-        // frame and vanishes from the merged stats.
-        const cache::CacheEntry *CE = nullptr;
-        {
-          stats::ScopedSpan Span(CacheTimer);
-          Digest = cache::unitDigest(ir::toString(*P->F), OptsBits);
-          CE = Opts.Cache->lookup(Digest);
-        }
-        if (CE) {
-          NumHits.bump();
-          NumBytes.bump(CE->ReportText.size());
-          // Replay the stored unit's analysis-phase counters so merged
-          // counters stay corpus-shaped on a warm run.  Timers are *not*
-          // replayed: phase spans must reflect work that actually ran
-          // (that is how --stats-json proves the skip).
-          for (const auto &[Name, V] : CE->Counters)
-            stats::bumpNamedCounter(Name, V);
-          U.OK = true;
-          U.Stats = CE->Stats;
-          U.Kinds = CE->Kinds;
-          U.Instructions = size_t(CE->Instructions);
-          U.Loops = size_t(CE->Loops);
-          U.ReportText = CE->ReportText;
-          U.StatsDelta = unitDelta();
-          return;
-        }
-        NumMisses.bump();
-      }
-      // Capture after parse + probe: the entry stores only analysis-phase
-      // counter deltas, because a hit still parses (to hash) and those
-      // frontend counters fire live.
-      const stats::Frame PostParse = stats::captureFrame();
-      ivclass::analyzeParsed(*P, PO);
-      U.OK = true;
-      U.Stats = P->IA->stats();
-      U.Kinds = ivclass::countHeaderPhiKinds(*P->IA);
-      U.Instructions = P->F->instructionCount();
-      U.Loops = P->LI->loops().size();
-      if (Opts.Classify)
-        U.ReportText = ivclass::report(*P->IA, &P->Info, Opts.Report);
-      if (Opts.Cache) {
-        cache::CacheEntry E;
-        E.ReportText = U.ReportText;
-        E.Stats = U.Stats;
-        E.Kinds = U.Kinds;
-        E.Instructions = U.Instructions;
-        E.Loops = U.Loops;
-        E.Counters = stats::snapshotFrame(
-                         stats::sparseDelta(stats::threadFrame(), PostParse))
-                         .Counters;
-        NewEntries[I] = {Digest, std::move(E)};
-      }
-      U.StatsDelta = unitDelta();
+      UnitOutcome Out = analyzeUnit(Units[I].Text, Opts, Opts.Cache);
+      cache::CacheEntry &E = Out.Result;
+      U.OK = Out.OK;
+      U.Errors = std::move(Out.Errors);
+      U.ReportText = Out.MissDigest ? E.ReportText : std::move(E.ReportText);
+      U.Stats = E.Stats;
+      U.Kinds = E.Kinds;
+      U.Instructions = size_t(E.Instructions);
+      U.Loops = size_t(E.Loops);
+      if (Out.MissDigest != 0)
+        NewEntries[I] = {Out.MissDigest, std::move(E)};
     } catch (const std::exception &E) {
       // A throwing unit must fail loudly but locally: its siblings finish,
       // the batch reports which unit died, and the driver exits non-zero.
       U.OK = false;
       U.Errors.push_back(std::string("internal error: ") + E.what());
-      U.StatsDelta = unitDelta();
     }
+    U.StatsDelta = stats::sparseDelta(stats::threadFrame(), Before);
   };
 
   if (Opts.Jobs == 1) {
@@ -214,7 +136,11 @@ BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
       if (Digest != 0)
         Opts.Cache->insert(Digest, std::move(E));
 
+  // Merge in input order.  Failed units' stats deltas count too (their
+  // frontend diagnostics do); element-wise addition is commutative, so the
+  // merged frame is identical for any Jobs value.
   for (const UnitResult &U : R.Units) {
+    U.StatsDelta.addTo(R.MergedStats);
     if (!U.OK) {
       ++R.Failed;
       continue;
@@ -224,11 +150,6 @@ BatchResult biv::driver::analyzeBatch(const std::vector<SourceInput> &Sources,
     R.TotalInstructions += U.Instructions;
     R.TotalLoops += U.Loops;
   }
-  // Merge every unit's delta (including failed units, whose frontend
-  // diagnostics still count) in input order: element-wise addition is
-  // commutative, so the merged frame is identical for any Jobs value.
-  for (const UnitResult &U : R.Units)
-    U.StatsDelta.addTo(R.MergedStats);
   return R;
 }
 

@@ -18,18 +18,16 @@
 /// the merged report is byte-identical no matter how many workers ran or how
 /// the scheduler interleaved them.
 ///
-/// By default batch mode keeps InductionAnalysis side-effect-free on the IR
-/// (MaterializeExitValues off) and skips re-verification, matching the
-/// throughput configuration the benchmarks measure.
+/// Each unit goes through analyzeUnit (driver/Unit.h), the path the daemon
+/// serves requests through too.  By default batch mode keeps
+/// InductionAnalysis side-effect-free on the IR (MaterializeExitValues off).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEYONDIV_DRIVER_BATCHANALYZER_H
 #define BEYONDIV_DRIVER_BATCHANALYZER_H
 
-#include "cache/AnalysisCache.h"
-#include "ivclass/Pipeline.h"
-#include "ivclass/Report.h"
+#include "driver/Unit.h"
 #include "support/Stats.h"
 #include <functional>
 #include <string>
@@ -52,23 +50,11 @@ struct UnitSource {
   std::string_view Text;
 };
 
-/// Batch switches.
-struct BatchOptions {
+/// Batch switches: the result-shaping AnalysisOptions plus how to run.
+struct BatchOptions : AnalysisOptions {
   /// Worker threads; 1 analyzes serially on the calling thread, 0 picks the
   /// hardware concurrency.
   unsigned Jobs = 1;
-  bool RunSCCP = true;
-  /// Post-SCCP SSA re-verification (off: the throughput configuration).
-  bool VerifyEach = false;
-  /// Exit-value materialization mutates the IR; keeping it off makes run()
-  /// read-only, which batch mode requires only per-unit but benches rely on.
-  bool MaterializeExitValues = false;
-  /// Render a classification report per unit (off for pure throughput runs).
-  bool Classify = true;
-  /// Multi-branch loop summarization (`bivc --batch --summarize`): sample,
-  /// conjecture, and prove per-phase closed forms for punted loops.
-  bool Summarize = false;
-  ivclass::ReportOptions Report;
   /// Content-addressed result cache (`bivc --batch --cache FILE`), or null
   /// to analyze every unit.  Workers probe it concurrently after parsing
   /// (lookup is const); misses are inserted by the driver thread in input

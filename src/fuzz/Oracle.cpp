@@ -5,11 +5,8 @@
 #include "support/Stats.h"
 #include "analysis/LoopInfo.h"
 #include "baseline/ClassicalIV.h"
-#include "frontend/Lowering.h"
 #include "interp/Interpreter.h"
-#include "ivclass/InductionAnalysis.h"
-#include "ssa/SCCP.h"
-#include "ssa/SSABuilder.h"
+#include "ivclass/Pipeline.h"
 #include "ssa/SSAVerifier.h"
 #include "support/Lcg.h"
 #include <sstream>
@@ -143,14 +140,14 @@ private:
 OracleResult OracleRun::run() {
   // Reference build: parse -> SSA only, no analysis-side IR mutation.
   std::vector<std::string> Errors;
-  std::unique_ptr<ir::Function> FRef =
-      frontend::parseAndLower(Source, Errors);
-  if (!FRef) {
+  std::optional<ivclass::AnalyzedProgram> RefBuild =
+      ivclass::parseSource(Source, Errors);
+  if (!RefBuild) {
     Result.ParseOK = false;
     Result.FrontendErrors = std::move(Errors);
     return std::move(Result);
   }
-  ssa::buildSSA(*FRef);
+  const ir::Function *FRef = RefBuild->F.get();
 
   // Argument vector sized to the function, padded deterministically.
   std::vector<int64_t> Args = Opts.Args;
@@ -178,23 +175,18 @@ OracleResult OracleRun::run() {
   // Analyzed build: the full pipeline, with every IR mutation on (SCCP
   // folding plus exit-value materialization) -- exactly what the paper's
   // client transformations would consume.
-  std::unique_ptr<ir::Function> F = frontend::parseAndLower(Source, Errors);
-  if (!F) {
+  ivclass::PipelineOptions PO;
+  PO.Analysis.Summarize = Opts.Summarize;
+  std::optional<ivclass::AnalyzedProgram> P =
+      ivclass::analyzeSource(Source, Errors, PO);
+  if (!P) {
     Result.ParseOK = false;
     Result.FrontendErrors = std::move(Errors);
     return std::move(Result);
   }
-  ssa::buildSSA(*F);
-  ssa::verifySSAOrDie(*F);
-  ssa::runSCCP(*F, /*SimplifyCFG=*/false);
-  ssa::verifySSAOrDie(*F);
-  analysis::DominatorTree DT(*F);
-  analysis::LoopInfo LI(*F, DT);
-  ivclass::InductionAnalysis::Options AO;
-  AO.Summarize = Opts.Summarize;
-  ivclass::InductionAnalysis IA(*F, DT, LI, AO);
-  IA.run();
-  ssa::verifySSAOrDie(*F);
+  ir::Function *F = P->F.get();
+  // Materialization inserted instructions; they must keep SSA intact.
+  ssa::verifySSAOrDie(*F, *P->DT);
 
   interp::ExecutionTrace Post = interp::runWithArrays(*F, Args, Arrays, EO);
   if (!Post.ok()) {
@@ -207,10 +199,11 @@ OracleResult OracleRun::run() {
   checkBehavior(Ref, Post);
 
   SymbolEnv Env(*F, Args, Post);
-  for (const auto &L : LI.loops()) {
+  ivclass::InductionAnalysis &IA = *P->IA;
+  for (const auto &L : P->LI->loops()) {
     if (L->depth() == 1) {
       checkLoopClaims(IA, L.get(), Post, Env);
-      checkMemberClaims(IA, DT, L.get(), Post, Env);
+      checkMemberClaims(IA, *P->DT, L.get(), Post, Env);
       checkTripCount(IA, L.get(), Post, Env);
     }
     if (Opts.CheckBaseline)

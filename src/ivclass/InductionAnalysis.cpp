@@ -1250,11 +1250,6 @@ ClassTable &InductionAnalysis::tableFor(const analysis::Loop *L) {
   return ClassMap[L->index()];
 }
 
-InductionAnalysis::InductionAnalysis(ir::Function &F,
-                                     const analysis::DominatorTree &DT,
-                                     const analysis::LoopInfo &LI)
-    : InductionAnalysis(F, DT, LI, Options()) {}
-
 void InductionAnalysis::run() {
   static const stats::Timer ClassifyPhase("phase.classify");
   stats::ScopedSpan Span(ClassifyPhase);

@@ -152,8 +152,6 @@ public:
   /// same function are not supported.
   InductionAnalysis(ir::Function &F, const analysis::DominatorTree &DT,
                     const analysis::LoopInfo &LI, Options Opts);
-  InductionAnalysis(ir::Function &F, const analysis::DominatorTree &DT,
-                    const analysis::LoopInfo &LI);
 
   /// Processes every loop, inner to outer.
   void run();

@@ -13,10 +13,16 @@ using namespace biv::ivclass;
 std::optional<AnalyzedProgram>
 biv::ivclass::parseSource(std::string_view Source,
                           std::vector<std::string> &Errors) {
-  AnalyzedProgram P;
-  P.F = frontend::parseAndLower(Source, Errors);
-  if (!P.F)
+  std::unique_ptr<ir::Function> F = frontend::parseAndLower(Source, Errors);
+  if (!F)
     return std::nullopt;
+  return buildSSAForm(std::move(F));
+}
+
+AnalyzedProgram
+biv::ivclass::buildSSAForm(std::unique_ptr<ir::Function> F) {
+  AnalyzedProgram P;
+  P.F = std::move(F);
   // One tree per unit: SSA construction, its verification and the analysis
   // half all run on this CFG.
   P.F->recomputePreds();
@@ -48,18 +54,6 @@ biv::ivclass::analyzeSource(std::string_view Source,
   if (P)
     analyzeParsed(*P, Opts);
   return P;
-}
-
-std::vector<std::optional<AnalyzedProgram>>
-biv::ivclass::analyzeSources(const std::vector<std::string> &Sources,
-                             std::vector<std::vector<std::string>> &Errors,
-                             const PipelineOptions &Opts) {
-  std::vector<std::optional<AnalyzedProgram>> Results;
-  Results.reserve(Sources.size());
-  Errors.assign(Sources.size(), {});
-  for (size_t I = 0; I < Sources.size(); ++I)
-    Results.push_back(analyzeSource(Sources[I], Errors[I], Opts));
-  return Results;
 }
 
 AnalyzedProgram

@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one-call entry point used by examples, benchmarks, and downstream
-/// clients: parse a loop-language program, build SSA, optionally run
-/// constant propagation, and run the induction-variable analysis.  The
+/// The one place the pipeline is put together: parse a loop-language
+/// program, build SSA, optionally run constant propagation, and run the
+/// induction-variable analysis.  One-shot `bivc`, the batch driver, the
+/// daemon, the fuzz oracle, tests and examples all come through here.  The
 /// returned bundle keeps every intermediate structure alive (the analysis
 /// holds references into them).
 ///
@@ -44,20 +45,25 @@ struct PipelineOptions {
   /// analysis, as the paper suggests for resolving initial values.
   bool RunSCCP = true;
   /// Re-verify SSA after each mutating stage (post-SCCP).  On by default so
-  /// tests catch pass bugs at the stage that introduced them; benches and
-  /// the batch driver turn it off -- the initial post-construction verify
-  /// always runs.
+  /// tests catch pass bugs at the stage that introduced them; the entry
+  /// points that print results (driver::AnalysisOptions::pipeline()) turn
+  /// it off -- the initial post-construction verify always runs.
   bool VerifyEach = true;
   InductionAnalysis::Options Analysis;
 };
 
-/// Frontend half of analyzeSource: parse, lower, build the dominator tree,
-/// then SSA on it (and verify it).  Fills F, Info and DT; LI/IA stay null
-/// until analyzeParsed() runs.  Split out so the batch driver can hash the
-/// canonical IR print and probe the analysis cache before paying for the
-/// analysis half.  \p Source is only read during the call.
+/// Frontend half of analyzeSource: parse and lower (frontend::parseAndLower),
+/// then buildSSAForm.  Split out so the batch driver can hash the canonical
+/// IR print and probe the analysis cache before paying for the analysis
+/// half.  \p Source is only read during the call.
 std::optional<AnalyzedProgram> parseSource(std::string_view Source,
                                            std::vector<std::string> &Errors);
+
+/// Second step of parseSource, for a function a caller lowered (and
+/// perhaps transformed, as `bivc --peel` does) itself: build the dominator
+/// tree, then SSA on it, and verify it.  Fills F, Info and DT; LI/IA stay
+/// null until analyzeParsed() runs.
+AnalyzedProgram buildSSAForm(std::unique_ptr<ir::Function> F);
 
 /// Analysis half: optional constant propagation, loops, and the
 /// induction-variable analysis, in place on a parseSource() result.  The
@@ -76,15 +82,6 @@ analyzeSource(std::string_view Source, std::vector<std::string> &Errors,
 AnalyzedProgram analyzeSourceOrDie(std::string_view Source,
                                    const PipelineOptions &Opts =
                                        PipelineOptions());
-
-/// Analyzes several independent programs with one set of options.  Slot i
-/// holds source i's analysis, or nullopt with its diagnostics appended to
-/// \p Errors[i].  This is the serial entry; driver::BatchAnalyzer shards the
-/// same per-unit work across a thread pool.
-std::vector<std::optional<AnalyzedProgram>>
-analyzeSources(const std::vector<std::string> &Sources,
-               std::vector<std::vector<std::string>> &Errors,
-               const PipelineOptions &Opts = PipelineOptions());
 
 } // namespace ivclass
 } // namespace biv

@@ -60,10 +60,7 @@ std::string biv::ivclass::report(InductionAnalysis &IA,
       Out += "  ";
       Out += Label;
       Out += ": ";
-      if (Opts.NestedTuples)
-        IA.appendNested(Out, C);
-      else
-        C.appendTo(Out, Namer);
+      IA.appendNested(Out, C);
       Out += '\n';
     };
     for (ir::Instruction *Phi : L->header()->phis()) {

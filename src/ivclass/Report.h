@@ -26,8 +26,6 @@ namespace ivclass {
 struct ReportOptions {
   /// Include every classified instruction, not just the header phis.
   bool AllValues = false;
-  /// Expand nested tuples, e.g. (L18, (L17, 0, 204), 2).
-  bool NestedTuples = true;
 };
 
 /// Renders the analysis results.  \p Info (when available) lets header phis

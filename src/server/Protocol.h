@@ -23,11 +23,10 @@
 ///   [u32 magic "bivS"][u32 ProtocolVersion][u32 status]
 ///   [body text to end of frame]
 ///
-/// The option bits are exactly the batch driver's digest bits (RunSCCP |
-/// Materialize << 1 | Classify << 2 | AllValues << 3 | NestedTuples << 4 |
-/// Summarize << 5),
-/// so a served report is byte-identical to the one-shot CLI's and shares
-/// cache entries with `--batch --cache` runs.  A deadline of 0 means no
+/// The option bits are driver::AnalysisOptions::bits() (driver/Unit.h), the
+/// same word the batch driver puts in cache keys, so a served report is
+/// byte-identical to the one-shot CLI's and shares cache entries with
+/// `--batch --cache` runs.  A deadline of 0 means no
 /// deadline; otherwise a request still queued when the deadline expires is
 /// answered `deadline_exceeded` without being analyzed.
 ///

@@ -1,9 +1,7 @@
 //===- server/Server.cpp - Persistent analysis daemon --------------------------===//
 
 #include "server/Server.h"
-#include "ir/Printer.h"
-#include "ivclass/Pipeline.h"
-#include "ivclass/Report.h"
+#include "driver/Unit.h"
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -34,10 +32,6 @@ const stats::Counter NumDeadlineExceeded("serve.deadline_exceeded");
 const stats::Counter NumRefusedAtShutdown("serve.refused_at_shutdown");
 const stats::Counter NumStatsRequests("serve.stats_requests");
 const stats::Counter NumReplyFailures("serve.reply_failures");
-const stats::Counter NumCacheHits("cache.hit");
-const stats::Counter NumCacheMisses("cache.miss");
-const stats::Counter NumCacheBytes("cache.bytes");
-const stats::Timer CacheTimer("phase.cache");
 const stats::Histogram LatencyHist("serve.latency_ns");
 const stats::Histogram QueueDepthHist("serve.queue_depth");
 
@@ -292,11 +286,12 @@ bool Server::drain(std::string &Error) {
 }
 
 void Server::mergeThreadDelta(stats::Frame &Base) {
-  stats::Frame Now = stats::captureFrame();
-  stats::Frame Delta = Now - Base;
-  Base = Now;
+  // Only the moved cells travel: the delta brings Base up to the thread's
+  // frame and goes into the lifetime frame, with no dense temporaries.
+  stats::SparseFrame Delta = stats::sparseDelta(stats::threadFrame(), Base);
+  Delta.addTo(Base);
   std::lock_guard<std::mutex> Lock(StatsM);
-  Lifetime += Delta;
+  Delta.addTo(Lifetime);
 }
 
 stats::StatsSnapshot Server::statsSnapshot() const {
@@ -470,93 +465,39 @@ void Server::serveAnalyze(int Fd, Request Q,
 }
 
 Response Server::analyze(const Request &Q) {
-  // Option bits are the batch driver's digest bits; mirroring its unit
-  // path exactly (parse, probe, analyze, report) is what makes a served
-  // response byte-identical to the one-shot CLI and lets the daemon share
-  // cache files with --batch --cache runs.
-  const bool RunSCCP = (Q.OptsBits & 1) != 0;
-  const bool Materialize = (Q.OptsBits & 2) != 0;
-  const bool Classify = (Q.OptsBits & 4) != 0;
-  const bool AllValues = (Q.OptsBits & 8) != 0;
-  const bool NestedTuples = (Q.OptsBits & 16) != 0;
-  const bool Summarize = (Q.OptsBits & 32) != 0;
-
-  ivclass::PipelineOptions PO;
-  PO.RunSCCP = RunSCCP;
-  PO.VerifyEach = false;
-  PO.Analysis.MaterializeExitValues = Materialize;
-  PO.Analysis.Summarize = Summarize;
-  ivclass::ReportOptions RO;
-  RO.AllValues = AllValues;
-  RO.NestedTuples = NestedTuples;
-
-  std::vector<std::string> Errors;
-  std::optional<ivclass::AnalyzedProgram> P =
-      ivclass::parseSource(Q.Source, Errors);
-  if (!P) {
+  // The batch driver's unit path under the request's option bits: that is
+  // what makes a served response byte-identical to the one-shot CLI and
+  // lets the daemon share cache files with --batch --cache runs.
+  driver::UnitOutcome U = driver::analyzeUnit(
+      Q.Source, driver::AnalysisOptions::fromBits(Q.OptsBits),
+      HaveCache ? &Cache : nullptr);
+  Response R;
+  if (!U.OK) {
     NumAnalysisErrors.bump();
-    Response R;
     R.S = Status::AnalysisError;
-    for (const std::string &E : Errors) {
+    for (const std::string &E : U.Errors) {
       R.Body += E;
       R.Body += '\n';
     }
     return R;
   }
-
-  uint64_t Digest = 0;
-  if (HaveCache) {
-    const cache::CacheEntry *CE = nullptr;
-    {
-      stats::ScopedSpan Span(CacheTimer);
-      Digest = cache::unitDigest(ir::toString(*P->F), Q.OptsBits);
-      CE = Cache.lookup(Digest);
-    }
-    if (CE) {
-      NumCacheHits.bump();
-      NumCacheBytes.bump(CE->ReportText.size());
-      // Same replay rule as the batch driver: stored analysis counters fire
-      // again so merged counters stay corpus-shaped, while phase timers do
-      // not (spans must prove the classification was actually skipped).
-      for (const auto &[Name, V] : CE->Counters)
-        stats::bumpNamedCounter(Name, V);
-      return Response{Status::Ok, CE->ReportText};
-    }
-    NumCacheMisses.bump();
-  }
-
-  stats::Frame PostParse = stats::captureFrame();
-  ivclass::analyzeParsed(*P, PO);
-  Response R;
-  R.S = Status::Ok;
-  ivclass::KindCounts Kinds = ivclass::countHeaderPhiKinds(*P->IA);
-  if (Classify)
-    R.Body = ivclass::report(*P->IA, &P->Info, RO);
-  if (HaveCache) {
-    cache::CacheEntry E;
-    E.ReportText = R.Body;
-    E.Stats = P->IA->stats();
-    E.Kinds = Kinds;
-    E.Instructions = P->F->instructionCount();
-    E.Loops = P->LI->loops().size();
-    E.Counters =
-        stats::snapshotFrame(stats::captureFrame() - PostParse).Counters;
-    // Completion-order insertion: entries are content-addressed, so
-    // concurrent misses for the same digest keep the first copy and the
-    // bytes of any one entry are deterministic even though the file-level
-    // order is not (unlike --batch, which commits in input order).
-    Cache.insert(Digest, std::move(E));
-    // Flush cadence: land accumulated misses on disk so a crash loses
-    // bounded work.  try_lock keeps workers from convoying behind one
-    // flush; whoever loses just keeps serving and the cadence catches up.
-    if (Cache.pendingCount() >= Opts.CacheFlushEvery) {
-      std::unique_lock<std::mutex> FL(FlushM, std::try_to_lock);
-      if (FL.owns_lock()) {
-        std::string Err;
-        if (!Cache.save(Err))
-          std::fprintf(stderr, "bivc: cache flush failed: %s\n",
-                       Err.c_str());
-      }
+  R.Body = U.MissDigest ? U.Result.ReportText : std::move(U.Result.ReportText);
+  if (U.MissDigest == 0)
+    return R;
+  // Completion-order insertion: entries are content-addressed, so
+  // concurrent misses for the same digest keep the first copy and the
+  // bytes of any one entry are deterministic even though the file-level
+  // order is not (unlike --batch, which commits in input order).
+  Cache.insert(U.MissDigest, std::move(U.Result));
+  // Flush cadence: land accumulated misses on disk so a crash loses
+  // bounded work.  try_lock keeps workers from convoying behind one
+  // flush; whoever loses just keeps serving and the cadence catches up.
+  if (Cache.pendingCount() >= Opts.CacheFlushEvery) {
+    std::unique_lock<std::mutex> FL(FlushM, std::try_to_lock);
+    if (FL.owns_lock()) {
+      std::string Err;
+      if (!Cache.save(Err))
+        std::fprintf(stderr, "bivc: cache flush failed: %s\n", Err.c_str());
     }
   }
   return R;

@@ -4,17 +4,16 @@
 // "Beyond Induction Variables", PLDI 1992.
 //
 // Covers the parallel batch-analysis subsystem: the ThreadPool's lifecycle
-// and error paths, function splitting, the analyzeSources() pipeline entry,
-// and the load-bearing determinism guarantee -- a parallel batch run renders
-// byte-identically to a serial one over a generated corpus.  Also pins the
-// WorkloadGen LCG's overflow-safe range().
+// and error paths, function splitting, the option-bit codec every entry
+// point shares, and the load-bearing determinism guarantee -- a parallel
+// batch run renders byte-identically to a serial one over a generated
+// corpus.  Also pins the WorkloadGen LCG's overflow-safe range().
 //
 //===----------------------------------------------------------------------===//
 
 #include "WorkloadGen.h"
 #include "driver/BatchAnalyzer.h"
 #include "driver/ThreadPool.h"
-#include "ivclass/Pipeline.h"
 #include "support/Stats.h"
 #include <atomic>
 #include <gtest/gtest.h>
@@ -129,24 +128,33 @@ TEST(BatchTest, SingleFunctionKeepsFileName) {
 }
 
 //===----------------------------------------------------------------------===//
-// Pipeline::analyzeSources
+// AnalysisOptions bit codec
 //===----------------------------------------------------------------------===//
 
-TEST(BatchTest, AnalyzeSourcesReportsPerSourceErrors) {
-  std::vector<std::string> Sources = {
-      "func ok(n) {\n  s = 0;\n  for L1: i = 1 to n { s = s + 2; }\n"
-      "  return s;\n}\n",
-      "func broken(n) { this is not a program }\n"};
-  std::vector<std::vector<std::string>> Errors;
-  ivclass::PipelineOptions Opts;
-  Opts.Analysis.MaterializeExitValues = false;
-  auto Results = ivclass::analyzeSources(Sources, Errors, Opts);
-  ASSERT_EQ(Results.size(), 2u);
-  ASSERT_EQ(Errors.size(), 2u);
-  EXPECT_TRUE(Results[0].has_value());
-  EXPECT_TRUE(Errors[0].empty());
-  EXPECT_FALSE(Results[1].has_value());
-  EXPECT_FALSE(Errors[1].empty());
+TEST(OptionCodecTest, FromBitsRoundTripsEverySwitchCombination) {
+  for (unsigned M = 0; M < 32; ++M) {
+    driver::AnalysisOptions O;
+    O.RunSCCP = (M & 1) != 0;
+    O.MaterializeExitValues = (M & 2) != 0;
+    O.Classify = (M & 4) != 0;
+    O.Report.AllValues = (M & 8) != 0;
+    O.Summarize = (M & 16) != 0;
+    driver::AnalysisOptions D = driver::AnalysisOptions::fromBits(O.bits());
+    EXPECT_EQ(D.RunSCCP, O.RunSCCP) << M;
+    EXPECT_EQ(D.MaterializeExitValues, O.MaterializeExitValues) << M;
+    EXPECT_EQ(D.Classify, O.Classify) << M;
+    EXPECT_EQ(D.Report.AllValues, O.Report.AllValues) << M;
+    EXPECT_EQ(D.Summarize, O.Summarize) << M;
+    EXPECT_EQ(D.bits(), O.bits()) << M;
+  }
+}
+
+TEST(OptionCodecTest, PresetsArePinned) {
+  // These words are part of every cache key and of the wire: a change here
+  // silently invalidates cache files and breaks old clients.
+  EXPECT_EQ(driver::AnalysisOptions::oneShot().bits(), 23u);
+  EXPECT_EQ(driver::AnalysisOptions().bits(), 21u);
+  EXPECT_EQ(driver::BatchOptions().bits(), 21u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -328,10 +336,10 @@ TEST(BatchCacheTest, WarmRunIsByteIdenticalAndFullyHit) {
 }
 
 TEST(BatchCacheTest, OneDominatorTreePerUnit) {
-  // parseSource builds the unit's tree once; SSA construction, both SSA
-  // verifications and the analysis half reuse it, and a cache hit stops
-  // after the frontend.  Each opened its own tree before: 4 spans per
-  // analyzed unit with VerifyEach, 2 per hit.
+  // parseSource builds the unit's tree once; SSA construction, its
+  // verification and the analysis half reuse it, and a cache hit stops
+  // after the frontend.  PipelineTest.OneDominatorTreeWithVerifyEach covers
+  // the post-SCCP re-verification the batch leaves off.
   std::vector<bench::CorpusUnit> Corpus = bench::genCorpus(12, /*Seed=*/7);
   std::vector<driver::SourceInput> Sources;
   for (const bench::CorpusUnit &U : Corpus)
@@ -339,7 +347,6 @@ TEST(BatchCacheTest, OneDominatorTreePerUnit) {
   cache::AnalysisCache Cache;
   driver::BatchOptions BO;
   BO.Jobs = 2;
-  BO.VerifyEach = true;
   BO.Cache = &Cache;
   driver::BatchResult Cold = driver::analyzeBatch(Sources, BO);
   driver::BatchResult Warm = driver::analyzeBatch(Sources, BO);

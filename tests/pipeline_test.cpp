@@ -6,7 +6,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "WorkloadGen.h"
 #include "frontend/Parser.h"
+#include "support/Stats.h"
 
 using namespace biv;
 using biv::testutil::makeSSA;
@@ -193,4 +195,19 @@ TEST(PipelineTest, WrapAroundFigure4SSAShape) {
   EXPECT_NE(Info.phiFor(L->header(), "i"), nullptr);
   EXPECT_NE(Info.phiFor(L->header(), "j"), nullptr);
   EXPECT_NE(Info.phiFor(L->header(), "k"), nullptr);
+}
+
+TEST(PipelineTest, OneDominatorTreeWithVerifyEach) {
+  // parseSource builds one tree per unit; SSA construction, both SSA
+  // verifications (post-construction and, with VerifyEach, post-SCCP) and
+  // the analysis half all reuse it.
+  static const stats::Timer DomTree("phase.domtree");
+  ivclass::PipelineOptions PO;
+  ASSERT_TRUE(PO.VerifyEach);
+  for (const bench::CorpusUnit &U : bench::genCorpus(12, /*Seed=*/7)) {
+    const stats::Frame Before = stats::captureFrame();
+    ivclass::analyzeSourceOrDie(U.Text, PO);
+    const stats::Frame Delta = stats::captureFrame() - Before;
+    EXPECT_EQ(Delta.Timers[DomTree.index()].Spans, 1u) << U.Name;
+  }
 }

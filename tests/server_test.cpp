@@ -10,13 +10,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "driver/Unit.h"
 #include "frontend/Parser.h"
-#include "ivclass/Pipeline.h"
-#include "ivclass/Report.h"
 #include "server/Client.h"
 #include "server/Server.h"
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <fcntl.h>
 #include <filesystem>
@@ -34,17 +34,28 @@ using namespace biv::server;
 
 namespace {
 
-// The one-shot CLI's default option bits: RunSCCP | MaterializeExitValues
-// | Classify | the NestedTuples report default.
-constexpr uint64_t DefaultBits = 1 | 2 | 4 | 16;
+// What `bivc --connect` sends without flags: the one-shot switches.
+const uint64_t DefaultBits = driver::AnalysisOptions::oneShot().bits();
 
+/// A fresh directory under the system temp dir; it and everything in it
+/// go when the test binary exits.
 std::string tempDir() {
+  struct Made {
+    std::vector<std::string> Dirs;
+    ~Made() {
+      std::error_code EC;
+      for (const std::string &D : Dirs)
+        std::filesystem::remove_all(D, EC);
+    }
+  };
+  static Made M;
   static int Seq = 0;
   std::string D = (std::filesystem::temp_directory_path() /
                    ("biv_server_test_" + std::to_string(::getpid()) + "_" +
                     std::to_string(Seq++)))
                       .string();
   std::filesystem::create_directories(D);
+  M.Dirs.push_back(D);
   return D;
 }
 
@@ -56,18 +67,27 @@ std::string readFile(const std::string &Path) {
   return Buf.str();
 }
 
-/// What the one-shot CLI would print for Source under the default flags
-/// (parse, SSA, SCCP, analysis, classification report).
-std::string oneShotReport(const std::string &Source) {
-  ivclass::PipelineOptions PO;
-  PO.VerifyEach = false;
-  std::vector<std::string> Errors;
-  std::optional<ivclass::AnalyzedProgram> P =
-      ivclass::analyzeSource(Source, Errors, PO);
-  EXPECT_TRUE(P.has_value());
+/// Stdout of the built `bivc` run with \p Args; fails the test unless it
+/// exits 0.
+std::string runBivc(const std::string &Args) {
+  std::string Out;
+  FILE *P = ::popen(("'" BIV_BIVC "' " + Args).c_str(), "r");
+  EXPECT_NE(P, nullptr) << Args;
   if (!P)
-    return std::string();
-  return ivclass::report(*P->IA, &P->Info, ivclass::ReportOptions());
+    return Out;
+  char Buf[4096];
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), P)) > 0)
+    Out.append(Buf, N);
+  EXPECT_EQ(::pclose(P), 0) << Args;
+  return Out;
+}
+
+/// What one-shot `bivc FILE` prints for Source under the default flags.
+std::string oneShotReport(const std::string &Source) {
+  static const std::string Path = tempDir() + "/oneshot.biv";
+  std::ofstream(Path) << Source;
+  return runBivc("'" + Path + "'");
 }
 
 Response callOk(const std::string &Socket, const std::string &Source,
@@ -92,23 +112,44 @@ const char *SimpleSrc = "func f(n) {"
 } // namespace
 
 TEST(ServerTest, ByteIdenticalToOneShotForCorpus) {
+  // Three entry points, one answer: one-shot `bivc FILE`, the daemon under
+  // the one-shot bits, and `bivc --batch --materialize FILE` once its `;;`
+  // section and summary lines are dropped.
   std::string Dir = tempDir();
   Server S(Dir + "/d.sock", ServerOptions());
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
 
+  auto check = [&](const std::string &Path) {
+    std::string OneShot = runBivc("'" + Path + "'");
+    Response R = callOk(S.socketPath(), readFile(Path));
+    ASSERT_EQ(R.S, Status::Ok) << Path << ": " << R.Body;
+    EXPECT_EQ(R.Body, OneShot) << Path;
+    std::istringstream Batch(runBivc("--batch --materialize '" + Path + "'"));
+    std::string Line, Stripped;
+    while (std::getline(Batch, Line))
+      if (Line.rfind(";;", 0) != 0)
+        Stripped += Line + "\n";
+    EXPECT_EQ(Stripped, OneShot) << Path;
+  };
   unsigned Checked = 0;
-  for (const auto &Entry : std::filesystem::directory_iterator(
-           BIV_CORPUS_DIR)) {
-    if (Entry.path().extension() != ".biv")
-      continue;
-    std::string Source = readFile(Entry.path().string());
-    Response R = callOk(S.socketPath(), Source);
-    ASSERT_EQ(R.S, Status::Ok) << Entry.path() << ": " << R.Body;
-    EXPECT_EQ(R.Body, oneShotReport(Source)) << Entry.path();
-    ++Checked;
-  }
-  EXPECT_GE(Checked, 5u) << "corpus should hold several programs";
+  for (const char *Root : {BIV_CORPUS_DIR, BIV_SAMPLES_DIR})
+    for (const auto &Entry : std::filesystem::directory_iterator(Root))
+      if (Entry.path().extension() == ".biv") {
+        check(Entry.path().string());
+        ++Checked;
+      }
+  EXPECT_GE(Checked, 15u) << "corpus and samples should hold many programs";
+
+  // None of those reports depends on constant folding; this one does
+  // (`s` steps by 8 only once SCCP folds `2 ^ 3`).
+  std::string Folded = Dir + "/folded.biv";
+  std::ofstream(Folded) << "func f(n) {\n  c = 2 ^ 3;\n  s = 0;\n"
+                           "  for L1: i = 1 to n {\n    s = s + c;\n  }\n"
+                           "  return s;\n}\n";
+  check(Folded);
+  EXPECT_NE(runBivc("'" + Folded + "'").find("s: (L1, 0, 8)"),
+            std::string::npos);
   ASSERT_TRUE(S.drain(Err)) << Err;
 }
 

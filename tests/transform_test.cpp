@@ -28,22 +28,19 @@ const char *WrapSrc = "func l9(n) {"
                       "  return 0;"
                       "}";
 
-/// Runs Src through lowering (+ optional peel), SSA, and analysis.
+/// Runs Src through lowering, the peel, then the rest of the pipeline --
+/// the order `bivc --peel` uses.
 Analyzed analyzePeeled(const std::string &Src, const std::string &Loop,
                        unsigned Times) {
+  std::unique_ptr<ir::Function> F = frontend::parseAndLowerOrDie(Src);
+  EXPECT_EQ(transform::peelLoop(*F, Loop, Times), Times);
   Analyzed A;
-  A.F = frontend::parseAndLowerOrDie(Src);
-  EXPECT_EQ(transform::peelLoop(*A.F, Loop, Times), Times);
-  A.Info = ssa::buildSSA(*A.F);
-  ssa::verifySSAOrDie(*A.F);
-  // The paper's [WZ91] step: fold the peeled iteration's arithmetic so the
-  // loop phis see literal initial values (this is what lets the wrap-around
-  // collapse).
-  ssa::runSCCP(*A.F, /*SimplifyCFG=*/false);
-  A.DT = std::make_unique<analysis::DominatorTree>(*A.F);
-  A.LI = std::make_unique<analysis::LoopInfo>(*A.F, *A.DT);
-  A.IA = std::make_unique<ivclass::InductionAnalysis>(*A.F, *A.DT, *A.LI);
-  A.IA->run();
+  static_cast<ivclass::AnalyzedProgram &>(A) =
+      ivclass::buildSSAForm(std::move(F));
+  // The paper's [WZ91] step (on by default): fold the peeled iteration's
+  // arithmetic so the loop phis see literal initial values (this is what
+  // lets the wrap-around collapse).
+  ivclass::analyzeParsed(A);
   return A;
 }
 

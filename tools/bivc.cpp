@@ -61,7 +61,7 @@
 //     ENDPOINT is a unix socket path, or tcp:HOST:PORT for a --serve-tcp
 //     frontend.
 //     Blocking client for the daemon: sends FILE (honouring --all-values,
-//     --no-sccp, --materialize) and prints the server's report, or fetches
+//     --no-sccp, --summarize) and prints the server's report, or fetches
 //     the daemon's merged stats snapshot as JSON.  A non-ok status
 //     (overloaded, deadline_exceeded, shutting_down, analysis errors) goes
 //     to stderr with exit status 1.  --deadline-ms bounds how long the
@@ -90,8 +90,6 @@
 #include "ivclass/Report.h"
 #include "server/Client.h"
 #include "server/Server.h"
-#include "ssa/SCCP.h"
-#include "ssa/SSABuilder.h"
 #include "ssa/SSAVerifier.h"
 #include "support/Stats.h"
 #include "transform/LoopPeel.h"
@@ -371,6 +369,11 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
                  "bivc: --cache only applies to --batch and --serve modes\n");
     return false;
   }
+  if (!O.Batch && (O.Materialize || O.SummaryOnly)) {
+    std::fprintf(stderr, "bivc: %s only applies to --batch mode\n",
+                 O.Materialize ? "--materialize" : "--summary");
+    return false;
+  }
   if (!O.ServeSocket.empty()) {
     if (O.Batch || O.Fuzz || !O.ConnectSocket.empty() || !O.File.empty()) {
       std::fprintf(stderr,
@@ -404,7 +407,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
                    "bivc: --connect requires a FILE (or --server-stats)\n");
       return false;
     }
-    O.Classify = true;
     return true;
   }
   if (O.DeadlineMs != 0 || O.ServerStats) {
@@ -469,6 +471,34 @@ std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
+/// Reads \p Path whole into \p Text; diagnoses and returns false if it
+/// cannot be opened.
+bool readFile(const std::string &Path, std::string &Text) {
+  std::ifstream In(Path);
+  if (!In) {
+    std::fprintf(stderr, "bivc: cannot open %s\n", Path.c_str());
+    return false;
+  }
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  Text = Buf.str();
+  return true;
+}
+
+/// The result-shaping switches the flags ask for: `--batch` starts from the
+/// batch defaults, one-shot and `--connect` from the one-shot preset.
+driver::AnalysisOptions analysisOptions(const CliOptions &O) {
+  driver::AnalysisOptions AO =
+      O.Batch ? driver::AnalysisOptions() : driver::AnalysisOptions::oneShot();
+  if (O.Materialize)
+    AO.MaterializeExitValues = true;
+  AO.Classify = !O.SummaryOnly;
+  AO.RunSCCP = O.RunSCCP;
+  AO.Summarize = O.Summarize;
+  AO.Report.AllValues = O.AllValues;
+  return AO;
+}
+
 int runFuzzMode(const CliOptions &O) {
   fuzz::FuzzOptions FO;
   FO.Count = O.FuzzCount;
@@ -489,23 +519,14 @@ int runBatch(const CliOptions &O) {
   std::vector<driver::SourceInput> Sources;
   Sources.reserve(O.BatchFiles.size());
   for (const std::string &Path : O.BatchFiles) {
-    std::ifstream In(Path);
-    if (!In) {
-      std::fprintf(stderr, "bivc: cannot open %s\n", Path.c_str());
+    Sources.push_back({Path, std::string()});
+    if (!readFile(Path, Sources.back().Text))
       return 1;
-    }
-    std::stringstream Buf;
-    Buf << In.rdbuf();
-    Sources.push_back({Path, Buf.str()});
   }
 
   driver::BatchOptions BO;
+  static_cast<driver::AnalysisOptions &>(BO) = analysisOptions(O);
   BO.Jobs = O.Jobs;
-  BO.RunSCCP = O.RunSCCP;
-  BO.MaterializeExitValues = O.Materialize;
-  BO.Classify = !O.SummaryOnly;
-  BO.Summarize = O.Summarize;
-  BO.Report.AllValues = O.AllValues;
 
   cache::AnalysisCache Cache;
   if (!O.CacheFile.empty()) {
@@ -597,21 +618,10 @@ int runConnect(const CliOptions &O) {
   if (O.ServerStats) {
     Q.Kind = server::RequestKind::Stats;
   } else {
-    std::ifstream In(O.File);
-    if (!In) {
-      std::fprintf(stderr, "bivc: cannot open %s\n", O.File.c_str());
+    if (!readFile(O.File, Q.Source))
       return 1;
-    }
-    std::stringstream Buf;
-    Buf << In.rdbuf();
     Q.Kind = server::RequestKind::Analyze;
-    Q.Source = Buf.str();
-    // The batch driver's digest bits.  Bit 2 (exit-value materialization)
-    // and bit 16 (nested tuples) are always on: those are the one-shot
-    // pipeline's defaults, and --connect promises byte-identity with it
-    // (--batch defaults materialization off instead).
-    Q.OptsBits = (O.RunSCCP ? 1u : 0u) | 2u | (O.Classify ? 4u : 0u) |
-                 (O.AllValues ? 8u : 0u) | 16u | (O.Summarize ? 32u : 0u);
+    Q.OptsBits = analysisOptions(O).bits();
     Q.DeadlineMs = O.DeadlineMs;
   }
   server::Response R;
@@ -645,17 +655,11 @@ int main(int Argc, char **Argv) {
   if (O.Batch)
     return runBatch(O);
 
-  std::ifstream In(O.File);
-  if (!In) {
-    std::fprintf(stderr, "bivc: cannot open %s\n", O.File.c_str());
+  std::string Source;
+  if (!readFile(O.File, Source))
     return 1;
-  }
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-
   std::vector<std::string> Errors;
-  std::unique_ptr<ir::Function> F =
-      frontend::parseAndLower(Buf.str(), Errors);
+  std::unique_ptr<ir::Function> F = frontend::parseAndLower(Source, Errors);
   if (!F) {
     for (const std::string &E : Errors)
       std::fprintf(stderr, "bivc: %s\n", E.c_str());
@@ -681,40 +685,29 @@ int main(int Argc, char **Argv) {
                 O.PeelLoop.c_str());
   }
 
-  // One dominator tree serves SSA construction, its verification and the
-  // analysis: neither SSA nor fold-only SCCP changes the CFG.
-  F->recomputePreds();
-  analysis::DominatorTree DT(*F);
-  ssa::SSAInfo Info = ssa::buildSSA(*F, DT);
-  ssa::verifySSAOrDie(*F, DT);
-  if (O.RunSCCP)
-    ssa::runSCCP(*F, /*SimplifyCFG=*/false);
-
-  analysis::LoopInfo LI(*F, DT);
-  ivclass::InductionAnalysis::Options AO;
-  AO.Summarize = O.Summarize;
-  ivclass::InductionAnalysis IA(*F, DT, LI, AO);
-  IA.run();
+  // Peeling runs between lowering and SSA; the rest is the pipeline every
+  // entry point shares.
+  const driver::AnalysisOptions AO = analysisOptions(O);
+  ivclass::AnalyzedProgram P = ivclass::buildSSAForm(std::move(F));
+  ivclass::analyzeParsed(P, AO.pipeline());
+  ivclass::InductionAnalysis &IA = *P.IA;
 
   if (O.StrengthReduce) {
     transform::StrengthReduceStats S = transform::strengthReduce(IA);
     std::printf(";; strength reduction: %u multiplication(s) replaced\n",
                 S.Reduced);
-    ssa::verifySSAOrDie(*F);
+    ssa::verifySSAOrDie(*P.F);
     O.PrintIR = true;
   }
 
   if (O.PrintIR)
-    std::printf("%s\n", ir::toString(*F).c_str());
+    std::printf("%s\n", ir::toString(*P.F).c_str());
 
-  if (O.Classify) {
-    ivclass::ReportOptions RO;
-    RO.AllValues = O.AllValues;
-    std::printf("%s", ivclass::report(IA, &Info, RO).c_str());
-  }
+  if (O.Classify)
+    std::printf("%s", ivclass::report(IA, &P.Info, AO.Report).c_str());
 
   if (O.TripCounts)
-    for (const auto &L : LI.loops())
+    for (const auto &L : P.LI->loops())
       std::printf("trip count of %s: %s\n", L->name().c_str(),
                   IA.tripCount(L.get()).str(IA.namer()).c_str());
 
@@ -725,7 +718,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (O.Run) {
-    interp::ExecutionTrace T = interp::run(*F, O.RunArgs);
+    interp::ExecutionTrace T = interp::run(*P.F, O.RunArgs);
     if (!T.ok()) {
       std::fprintf(stderr, "bivc: execution failed: %s\n", T.Error.c_str());
       return 1;
