@@ -39,17 +39,17 @@ void advise(const char *Name, const char *Source) {
         continue;
       bool OuterCanBeEq = true;
       for (const LoopDirection &LD : D.Result.Directions) {
-        if (LD.L == L.get())
+        if (LD.L == L)
           break;
         OuterCanBeEq &= (LD.Dirs & DirEQ) != 0;
       }
-      if (OuterCanBeEq && (D.Result.dirsFor(L.get()) & (DirLT | DirGT))) {
+      if (OuterCanBeEq && (D.Result.dirsFor(L) & (DirLT | DirGT))) {
         Parallel = false;
         Blocker = &D;
         break;
       }
     }
-    std::printf("  loop %-4s: %s", L->name().c_str(),
+    std::printf("  loop %-4s: %s", std::string(L->name()).c_str(),
                 Parallel ? "PARALLELIZABLE" : "serial");
     if (!Parallel && Blocker) {
       std::printf("  (carried %s dep on %s, %s)",

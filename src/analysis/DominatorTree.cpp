@@ -10,45 +10,23 @@ using namespace biv::analysis;
 DominatorTree::DominatorTree(const ir::Function &F) : F(F) {
   static const stats::Timer DomTreePhase("phase.domtree");
   stats::ScopedSpan Span(DomTreePhase);
-  size_t N = F.numBlocks();
-  IDom.assign(N, -1);
-  RPONumber.assign(N, -1);
-  Children.assign(N, {});
+  support::Arena &Unit = F.arena();
+  support::ScratchScope Scratch;
+  support::Arena &S = Scratch.arena();
+  const size_t N = F.numBlocks();
+  IDom.resize(Unit, N, -1);
+  RPONumber.resize(Unit, N, -1);
 
   // Reverse post order over reachable blocks only.
-  for (ir::BasicBlock *BB : F.reversePostOrder()) {
-    // reversePostOrder appends unreachable blocks; detect them by checking
-    // reachability: entry is RPO[0]; anything after an unreachable block is
-    // unreachable too.  Simplest: recompute reachability here.
-    RPO.push_back(BB);
-  }
-  // Trim unreachable tail: recompute reachability.
-  {
-    std::vector<char> Reach(N, 0);
-    std::vector<ir::BasicBlock *> Work{F.entry()};
-    Reach[F.entry()->id()] = 1;
-    while (!Work.empty()) {
-      ir::BasicBlock *BB = Work.back();
-      Work.pop_back();
-      for (ir::BasicBlock *S : BB->successors())
-        if (!Reach[S->id()]) {
-          Reach[S->id()] = 1;
-          Work.push_back(S);
-        }
-    }
-    RPO.erase(std::remove_if(RPO.begin(), RPO.end(),
-                             [&](ir::BasicBlock *BB) {
-                               return !Reach[BB->id()];
-                             }),
-              RPO.end());
-  }
+  RPO = F.reachableRPO(Unit);
   for (size_t I = 0; I < RPO.size(); ++I)
     RPONumber[RPO[I]->id()] = static_cast<int>(I);
 
   // Cooper-Harvey-Kennedy: iterate to a fixed point, intersecting the
   // dominator sets represented by idom pointers in RPO numbering.
-  std::vector<int> Doms(RPO.size(), -1); // by RPO number
-  Doms[0] = 0;                           // entry dominated by itself
+  support::ArenaVector<int> Doms; // by RPO number
+  Doms.resize(S, RPO.size(), -1);
+  Doms[0] = 0; // entry dominated by itself
   auto intersect = [&](int A, int B) {
     while (A != B) {
       while (A > B)
@@ -77,22 +55,38 @@ DominatorTree::DominatorTree(const ir::Function &F) : F(F) {
       }
     }
   }
+  // Children as CSR lists, each in RPO order: count, prefix-sum, fill.
+  ChildStart.resize(Unit, N + 1, 0);
   for (size_t I = 1; I < RPO.size(); ++I) {
     ir::BasicBlock *Parent = RPO[Doms[I]];
     IDom[RPO[I]->id()] = static_cast<int>(Parent->id());
-    Children[Parent->id()].push_back(RPO[I]);
+    ++ChildStart[Parent->id() + 1];
+  }
+  for (size_t B = 0; B < N; ++B)
+    ChildStart[B + 1] += ChildStart[B];
+  ChildFlat.resize(Unit, RPO.size() ? RPO.size() - 1 : 0);
+  {
+    support::ArenaVector<uint32_t> Fill;
+    Fill.resize(S, N);
+    std::copy(ChildStart.begin(), ChildStart.end() - 1, Fill.begin());
+    for (size_t I = 1; I < RPO.size(); ++I)
+      ChildFlat[Fill[RPO[Doms[I]]->id()]++] = RPO[I];
   }
 
   // Number the tree depth-first; unreachable blocks keep empty intervals.
-  DFS.assign(N, Interval());
+  DFS.resize(Unit, N);
   unsigned Clock = 0;
-  std::vector<std::pair<const ir::BasicBlock *, size_t>> Stack;
-  Stack.reserve(RPO.size());
-  Stack.push_back({F.entry(), 0});
+  struct Frame {
+    const ir::BasicBlock *BB;
+    size_t Next;
+  };
+  support::ArenaVector<Frame> Stack;
+  Stack.reserve(S, RPO.size());
+  Stack.push_back(S, {F.entry(), 0});
   DFS[F.entry()->id()].In = Clock++;
   while (!Stack.empty()) {
     auto &[BB, Next] = Stack.back();
-    const std::vector<ir::BasicBlock *> &Kids = Children[BB->id()];
+    std::span<ir::BasicBlock *const> Kids = children(BB);
     if (Next == Kids.size()) {
       DFS[BB->id()].Out = Clock++;
       Stack.pop_back();
@@ -100,7 +94,7 @@ DominatorTree::DominatorTree(const ir::Function &F) : F(F) {
     }
     const ir::BasicBlock *Kid = Kids[Next++];
     DFS[Kid->id()].In = Clock++;
-    Stack.push_back({Kid, 0});
+    Stack.push_back(S, {Kid, 0});
   }
 }
 
@@ -139,20 +133,21 @@ bool DominatorTree::dominates(const ir::Instruction *Def,
   return DefBB->comesBefore(Def, I);
 }
 
-const std::vector<ir::BasicBlock *> &
-DominatorTree::children(const ir::BasicBlock *BB) const {
-  return Children[BB->id()];
-}
-
 DominanceFrontier::DominanceFrontier(const DominatorTree &DT) {
   const ir::Function &F = DT.function();
   const size_t N = F.numBlocks();
-  // Accumulate per-block frontiers as head-linked chains in one pool, then
-  // flatten to CSR: a handful of allocations total instead of one vector
-  // per block (this sits on the per-unit SSA hot path).
+  support::ScratchScope Scratch;
+  support::Arena &S = Scratch.arena();
+  // Accumulate per-block frontiers as head-linked chains in one scratch
+  // pool, then flatten to CSR in the function's arena.
   constexpr uint32_t NoEntry = ~uint32_t(0);
-  std::vector<uint32_t> Head(N, NoEntry);
-  std::vector<std::pair<ir::BasicBlock *, uint32_t>> Pool; // (member, prev)
+  support::ArenaVector<uint32_t> Head;
+  Head.resize(S, N, NoEntry);
+  struct Link {
+    ir::BasicBlock *Member;
+    uint32_t Prev;
+  };
+  support::ArenaVector<Link> Pool;
   for (ir::BasicBlock *BB : DT.rpo()) {
     if (BB->predecessors().size() < 2)
       continue;
@@ -163,24 +158,25 @@ DominanceFrontier::DominanceFrontier(const DominatorTree &DT) {
         uint32_t &H = Head[Runner->id()];
         // All entries for one BB are appended consecutively, so a duplicate
         // can only be the chain head.
-        if (H != NoEntry && Pool[H].first == BB)
+        if (H != NoEntry && Pool[H].Member == BB)
           continue;
-        Pool.push_back({BB, H});
+        Pool.push_back(S, {BB, H});
         H = uint32_t(Pool.size() - 1);
       }
   }
-  Start.assign(N + 1, 0);
+  support::Arena &A = F.arena();
+  Start.resize(A, N + 1, 0);
   for (size_t B = 0; B < N; ++B)
-    for (uint32_t E = Head[B]; E != NoEntry; E = Pool[E].second)
+    for (uint32_t E = Head[B]; E != NoEntry; E = Pool[E].Prev)
       ++Start[B + 1];
   for (size_t B = 0; B < N; ++B)
     Start[B + 1] += Start[B];
-  Flat.resize(Pool.size());
+  Flat.resize(A, Pool.size());
   // Chains are LIFO; fill each segment backwards to restore append order.
   for (size_t B = 0; B < N; ++B) {
     uint32_t At = Start[B + 1];
-    for (uint32_t E = Head[B]; E != NoEntry; E = Pool[E].second)
-      Flat[--At] = Pool[E].first;
+    for (uint32_t E = Head[B]; E != NoEntry; E = Pool[E].Prev)
+      Flat[--At] = Pool[E].Member;
   }
 }
 

@@ -14,12 +14,17 @@
 /// builds on); post-dominance supports the section 5.4 refinement that a use
 /// post-dominated by a strictly monotonic update is itself strict.
 ///
+/// The dominator tree and the frontiers live as long as the function they
+/// describe, so their tables are allocated in its arena (DESIGN.md §11);
+/// construction scratch comes from the thread's scratch arena.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEYONDIV_ANALYSIS_DOMINATORTREE_H
 #define BEYONDIV_ANALYSIS_DOMINATORTREE_H
 
 #include "ir/Function.h"
+#include "support/Arena.h"
 #include <span>
 #include <vector>
 
@@ -50,25 +55,30 @@ public:
   /// instructions inserted after the tree was built are ordered correctly.
   bool dominates(const ir::Instruction *Def, const ir::Instruction *I) const;
 
-  /// Children in the dominator tree.
-  const std::vector<ir::BasicBlock *> &
-  children(const ir::BasicBlock *BB) const;
+  /// Children in the dominator tree, in reverse post order.
+  std::span<ir::BasicBlock *const> children(const ir::BasicBlock *BB) const {
+    return {ChildFlat.data() + ChildStart[BB->id()],
+            ChildStart[BB->id() + 1] - ChildStart[BB->id()]};
+  }
 
   /// Blocks in reverse post order (reachable only).
-  const std::vector<ir::BasicBlock *> &rpo() const { return RPO; }
+  std::span<ir::BasicBlock *const> rpo() const { return RPO; }
 
 private:
   const ir::Function &F;
-  std::vector<int> IDom;                 // by block id; -1 = none
-  std::vector<int> RPONumber;            // by block id; -1 = unreachable
-  std::vector<ir::BasicBlock *> RPO;
-  std::vector<std::vector<ir::BasicBlock *>> Children;
+  support::ArenaVector<int> IDom;      // by block id; -1 = none
+  support::ArenaVector<int> RPONumber; // by block id; -1 = unreachable
+  std::span<ir::BasicBlock *const> RPO;
+  /// CSR layout: ChildFlat[ChildStart[id] .. ChildStart[id+1]) are block
+  /// id's children.
+  support::ArenaVector<uint32_t> ChildStart;
+  support::ArenaVector<ir::BasicBlock *> ChildFlat;
   /// By block id: entry and exit times of a depth-first walk of the tree;
   /// A dominates B iff A's interval contains B's.
   struct Interval {
     unsigned In = 0, Out = 0;
   };
-  std::vector<Interval> DFS;
+  support::ArenaVector<Interval> DFS;
 };
 
 /// Dominance frontiers DF(B) for every reachable block.
@@ -83,8 +93,8 @@ public:
 
 private:
   /// CSR layout: Flat[Start[id] .. Start[id+1]) is block id's frontier.
-  std::vector<uint32_t> Start;
-  std::vector<ir::BasicBlock *> Flat;
+  support::ArenaVector<uint32_t> Start;
+  support::ArenaVector<ir::BasicBlock *> Flat;
 };
 
 /// Post-dominator tree computed on the reverse CFG with a virtual exit that

@@ -23,8 +23,10 @@
 #define BEYONDIV_ANALYSIS_LOOPINFO_H
 
 #include "analysis/DominatorTree.h"
-#include <memory>
+#include "support/Arena.h"
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace biv {
@@ -32,20 +34,22 @@ namespace analysis {
 
 class LoopInfo;
 
-/// One natural loop.
+/// One natural loop.  Loops and their lists live in the function's arena
+/// (DESIGN.md §11) and die with it; only LoopInfo creates them.
 class Loop {
 public:
-  Loop(ir::BasicBlock *Header, std::string Name)
-      : Header(Header), Name(std::move(Name)) {}
+  Loop(ir::BasicBlock *Header, std::string_view Name)
+      : Header(Header), Name(Name) {}
 
   ir::BasicBlock *header() const { return Header; }
 
   /// Printable label, e.g. "L18" recovered from the "L18.header" block name,
-  /// matching the loop names in the paper's figures.
-  const std::string &name() const { return Name; }
+  /// matching the loop names in the paper's figures.  A view of the
+  /// header's interned name.
+  std::string_view name() const { return Name; }
 
   /// All blocks of the loop (header included), in function order.
-  const std::vector<ir::BasicBlock *> &blocks() const { return Blocks; }
+  std::span<ir::BasicBlock *const> blocks() const { return Blocks; }
   inline bool contains(const ir::BasicBlock *BB) const;
   bool contains(const ir::Instruction *I) const {
     return contains(I->parent());
@@ -58,21 +62,19 @@ public:
 
   /// Latch blocks (sources of back edges).  The front end produces exactly
   /// one latch per loop.
-  const std::vector<ir::BasicBlock *> &latches() const { return Latches; }
+  std::span<ir::BasicBlock *const> latches() const { return Latches; }
 
   /// The unique predecessor of the header outside the loop, or null when the
   /// header has several outside predecessors.
   ir::BasicBlock *preheader() const { return Preheader; }
 
   /// Blocks inside the loop with a successor outside it.
-  const std::vector<ir::BasicBlock *> &exitingBlocks() const {
-    return Exiting;
-  }
+  std::span<ir::BasicBlock *const> exitingBlocks() const { return Exiting; }
   /// Blocks outside the loop that are targets of exiting edges.
-  const std::vector<ir::BasicBlock *> &exitBlocks() const { return Exits; }
+  std::span<ir::BasicBlock *const> exitBlocks() const { return Exits; }
 
   Loop *parent() const { return Parent; }
-  const std::vector<Loop *> &subLoops() const { return SubLoops; }
+  std::span<Loop *const> subLoops() const { return SubLoops; }
   /// 1 for outermost loops, parent depth + 1 otherwise.
   unsigned depth() const { return Depth; }
 
@@ -85,14 +87,14 @@ private:
 
   const LoopInfo *Info = nullptr;
   ir::BasicBlock *Header;
-  std::string Name;
-  std::vector<ir::BasicBlock *> Blocks;
-  std::vector<ir::BasicBlock *> Latches;
+  std::string_view Name;
+  std::span<ir::BasicBlock *const> Blocks;
+  support::ArenaVector<ir::BasicBlock *> Latches;
   ir::BasicBlock *Preheader = nullptr;
-  std::vector<ir::BasicBlock *> Exiting;
-  std::vector<ir::BasicBlock *> Exits;
+  support::ArenaVector<ir::BasicBlock *> Exiting;
+  support::ArenaVector<ir::BasicBlock *> Exits;
   Loop *Parent = nullptr;
-  std::vector<Loop *> SubLoops;
+  support::ArenaVector<Loop *> SubLoops;
   unsigned Depth = 1;
   unsigned Index = 0;
   /// This loop's subtree is the pre-order range [PreOrder, PreOrderEnd).
@@ -100,7 +102,8 @@ private:
   unsigned PreOrderEnd = 0;
 };
 
-/// The loop nest of one function.
+/// The natural loops of one function, built over its dominator tree.  The
+/// loops and every table here live in the function's arena.
 class LoopInfo {
 public:
   LoopInfo(const ir::Function &F, const DominatorTree &DT);
@@ -109,13 +112,13 @@ public:
   LoopInfo &operator=(const LoopInfo &) = delete;
 
   /// All loops, every parent preceding its children.
-  const std::vector<std::unique_ptr<Loop>> &loops() const { return Loops; }
+  std::span<Loop *const> loops() const { return Loops; }
 
   /// Outermost loops only.
-  const std::vector<Loop *> &topLevel() const { return TopLevel; }
+  std::span<Loop *const> topLevel() const { return TopLevel; }
 
   /// Loops in inner-to-outer order (children before parents), the order the
-  /// induction-variable analysis wants.
+  /// induction-variable analysis wants: loops() reversed.
   std::vector<Loop *> innerToOuter() const;
 
   /// The innermost loop containing \p BB, or null.
@@ -124,13 +127,13 @@ public:
   }
 
   /// Finds a loop by printable name, or null.
-  Loop *byName(const std::string &Name) const;
+  Loop *byName(std::string_view Name) const;
 
 private:
   const ir::Function &F;
-  std::vector<std::unique_ptr<Loop>> Loops;
-  std::vector<Loop *> TopLevel;
-  std::vector<Loop *> InnermostFor; // by block id
+  support::ArenaVector<Loop *> Loops;
+  support::ArenaVector<Loop *> TopLevel;
+  support::ArenaVector<Loop *> InnermostFor; // by block id
 };
 
 bool Loop::contains(const ir::BasicBlock *BB) const {

@@ -4,6 +4,7 @@
 #include "ir/Printer.h"
 #include "support/Stats.h"
 #include <set>
+#include <span>
 
 using namespace biv;
 using namespace biv::dependence;
@@ -273,7 +274,7 @@ namespace {
 
 /// Are the ring initial values numeric and pairwise distinct (required to
 /// exploit periodicity, section 4.2)?
-bool distinctNumericRing(const std::vector<Affine> &Ring) {
+bool distinctNumericRing(std::span<const Affine> Ring) {
   std::set<Rational> Seen;
   for (const Affine &A : Ring) {
     std::optional<Rational> C = A.getConstant();
@@ -502,7 +503,9 @@ DependenceAnalyzer::report(const std::vector<Dependence> &Deps) const {
       break;
     }
     for (const LoopDirection &LD : D.Result.Directions) {
-      Out += "  " + LD.L->name() + ":" + dirSetStr(LD.Dirs);
+      Out += "  ";
+      Out += LD.L->name();
+      Out += ":" + dirSetStr(LD.Dirs);
       if (LD.Distance)
         Out += " dist=" + std::to_string(*LD.Distance);
       if (LD.ModPeriod)

@@ -13,7 +13,9 @@ std::string LinearSubscript::str(const SymbolNamer &Namer) const {
     std::string CS = C.str(Namer);
     if (CS.find(' ') != std::string::npos)
       CS = "(" + CS + ")";
-    Out += " + " + CS + "*h(" + L->name() + ")";
+    Out += " + " + CS + "*h(";
+    Out += L->name();
+    Out += ")";
   }
   return Out;
 }

@@ -256,7 +256,10 @@ Token Lexer::next() {
 
 std::vector<Token> Lexer::lexAll() {
   std::vector<Token> Tokens;
-  Tokens.reserve(Src.size() / 4 + 8);
+  // Sized to the input: source text averages under three bytes per token
+  // (a name or number and the space after it), so two bytes per token
+  // covers typical units in one allocation; denser text regrows once.
+  Tokens.reserve(Src.size() / 2 + 8);
   while (true) {
     Tokens.push_back(next());
     if (Tokens.back().is(TokenKind::EndOfFile) ||

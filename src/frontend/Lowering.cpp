@@ -27,15 +27,20 @@ using support::Symbol;
 /// (and cache digests) byte-identical.
 class NameCollector {
 public:
-  explicit NameCollector(const support::StringInterner &SI)
-      : Rank(SI.size(), 0), SI(SI), IsParam(SI.size(), 0),
-        IsAssigned(SI.size(), 0), IsLabel(SI.size(), 0) {}
+  /// Every table lives in \p Scratch, which must outlive the collector.
+  NameCollector(const support::StringInterner &SI, support::Arena &Scratch)
+      : SI(SI), S(Scratch) {
+    Rank.resize(S, SI.size(), 0);
+    IsParam.resize(S, SI.size(), 0);
+    IsAssigned.resize(S, SI.size(), 0);
+    IsLabel.resize(S, SI.size(), 0);
+  }
 
   /// Assigned scalar symbols, sorted by spelling.
-  std::vector<Symbol> ScalarsByName;
+  support::ArenaVector<Symbol> ScalarsByName;
   /// Array symbols, sorted by spelling; Rank[Sym] is their rank.
-  std::vector<Symbol> ArraysByName;
-  std::vector<uint32_t> Rank;
+  support::ArenaVector<Symbol> ArraysByName;
+  support::ArenaVector<uint32_t> Rank;
   std::vector<std::string> Errors;
 
   void run(const FuncDecl &F) {
@@ -59,14 +64,15 @@ public:
 
 private:
   const support::StringInterner &SI;
-  std::vector<uint8_t> IsParam;
-  std::vector<uint8_t> IsAssigned;
-  std::vector<uint8_t> IsLabel;
+  support::Arena &S;
+  support::ArenaVector<uint8_t> IsParam;
+  support::ArenaVector<uint8_t> IsAssigned;
+  support::ArenaVector<uint8_t> IsLabel;
 
   void noteAssigned(Symbol Sym) {
     if (!IsAssigned[Sym]) {
       IsAssigned[Sym] = 1;
-      ScalarsByName.push_back(Sym);
+      ScalarsByName.push_back(S, Sym);
     }
   }
 
@@ -83,7 +89,7 @@ private:
                  SourceLoc Loc) {
     if (!Rank[Sym]) {
       Rank[Sym] = ArrRank;
-      ArraysByName.push_back(Sym);
+      ArraysByName.push_back(S, Sym);
     } else if (Rank[Sym] != ArrRank) {
       Errors.push_back(Loc.str() + ": array '" + std::string(Name) +
                        "' used with inconsistent rank");
@@ -186,7 +192,7 @@ public:
   std::unique_ptr<ir::Function> run() {
     assert(Decl.Strings && "FuncDecl lost its interner");
     const support::StringInterner &Names = *Decl.Strings;
-    NameCollector NC(Names);
+    NameCollector NC(Names, Scratch.arena());
     NC.run(Decl);
     for (std::string &E : NC.Errors)
       Errors.push_back(std::move(E));
@@ -194,9 +200,9 @@ public:
       return nullptr;
 
     F = std::make_unique<ir::Function>(Decl.Name);
-    VarBySym.assign(Names.size(), nullptr);
-    ArrayBySym.assign(Names.size(), nullptr);
-    ArgBySym.assign(Names.size(), nullptr);
+    VarBySym.resize(Scratch.arena(), Names.size(), nullptr);
+    ArrayBySym.resize(Scratch.arena(), Names.size(), nullptr);
+    ArgBySym.resize(Scratch.arena(), Names.size(), nullptr);
     for (const ParamDecl &P : Decl.Params)
       ArgBySym[P.Sym] = F->addArgument(P.Name);
     for (Symbol Sym : NC.ScalarsByName)
@@ -217,18 +223,20 @@ public:
   }
 
 private:
+  /// The name tables, loop-exit stack and subscript scratch below.
+  support::ScratchScope Scratch;
   const FuncDecl &Decl;
   std::vector<std::string> &Errors;
   std::unique_ptr<ir::Function> F;
   std::unique_ptr<ir::IRBuilder> B;
-  std::vector<ir::Var *> VarBySym;
-  std::vector<ir::Array *> ArrayBySym;
-  std::vector<ir::Argument *> ArgBySym;
-  std::vector<ir::BasicBlock *> LoopExits;
+  support::ArenaVector<ir::Var *> VarBySym;
+  support::ArenaVector<ir::Array *> ArrayBySym;
+  support::ArenaVector<ir::Argument *> ArgBySym;
+  support::ArenaVector<ir::BasicBlock *> LoopExits;
   /// Shared subscript scratch: nested array refs stack their index values
   /// here (each ref restores its own base), so lowering a ref allocates
   /// nothing once the vector has grown to the deepest nesting seen.
-  std::vector<ir::Value *> IndexScratch;
+  support::ArenaVector<ir::Value *> IndexScratch;
 
   void error(SourceLoc Loc, const std::string &Msg) {
     Errors.push_back(Loc.str() + ": " + Msg);
@@ -252,10 +260,10 @@ private:
   ir::Instruction *withIndices(const ExprList &Indices, EmitFn Emit) {
     size_t Base = IndexScratch.size();
     for (const Expr *I : Indices)
-      IndexScratch.push_back(lowerExpr(I));
+      IndexScratch.push_back(Scratch.arena(), lowerExpr(I));
     ir::Instruction *Out = Emit(std::span<ir::Value *const>(
         IndexScratch.data() + Base, Indices.size()));
-    IndexScratch.resize(Base);
+    IndexScratch.truncate(Base);
     return Out;
   }
 
@@ -342,13 +350,13 @@ private:
       const auto *A = ast_cast<ArrayAssignStmt>(S);
       size_t Base = IndexScratch.size();
       for (const Expr *I : A->indices())
-        IndexScratch.push_back(lowerExpr(I));
+        IndexScratch.push_back(Scratch.arena(), lowerExpr(I));
       ir::Value *V = lowerExpr(A->value());
       B->arrayStore(ArrayBySym[A->sym()],
                     std::span<ir::Value *const>(IndexScratch.data() + Base,
                                                 A->indices().size()),
                     V);
-      IndexScratch.resize(Base);
+      IndexScratch.truncate(Base);
       return;
     }
     case StmtKind::If:
@@ -409,7 +417,7 @@ private:
     ir::BasicBlock *Exit = labeledBlock(S->label(), ".exit");
     B->br(Header);
     B->setInsertBlock(Header);
-    LoopExits.push_back(Exit);
+    LoopExits.push_back(Scratch.arena(), Exit);
     lowerBody(S->body());
     LoopExits.pop_back();
     if (!B->insertBlock()->terminator())
@@ -439,7 +447,7 @@ private:
     B->condBr(Cond, Body, Exit);
 
     B->setInsertBlock(Body);
-    LoopExits.push_back(Exit);
+    LoopExits.push_back(Scratch.arena(), Exit);
     lowerBody(S->body());
     LoopExits.pop_back();
     if (!B->insertBlock()->terminator())
@@ -465,7 +473,7 @@ private:
     B->condBr(Cond, Body, Exit);
 
     B->setInsertBlock(Body);
-    LoopExits.push_back(Exit);
+    LoopExits.push_back(Scratch.arena(), Exit);
     lowerBody(S->body());
     LoopExits.pop_back();
     if (!B->insertBlock()->terminator())

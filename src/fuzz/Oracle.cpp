@@ -202,12 +202,12 @@ OracleResult OracleRun::run() {
   ivclass::InductionAnalysis &IA = *P->IA;
   for (const auto &L : P->LI->loops()) {
     if (L->depth() == 1) {
-      checkLoopClaims(IA, L.get(), Post, Env);
-      checkMemberClaims(IA, *P->DT, L.get(), Post, Env);
-      checkTripCount(IA, L.get(), Post, Env);
+      checkLoopClaims(IA, L, Post, Env);
+      checkMemberClaims(IA, *P->DT, L, Post, Env);
+      checkTripCount(IA, L, Post, Env);
     }
     if (Opts.CheckBaseline)
-      checkBaseline(IA, L.get());
+      checkBaseline(IA, L);
   }
   return std::move(Result);
 }
@@ -264,6 +264,7 @@ void OracleRun::checkLoopClaims(ivclass::InductionAnalysis &IA,
     if (Wrapped)
       continue;
     const std::string Name(Phi->name());
+    const std::string LoopName(L->name());
     // Claim evaluation runs in exact rational arithmetic; the sequence
     // bound above limits observed values, but symbols bound by Env (values
     // computed once outside the checked loop) can still be arbitrarily
@@ -271,15 +272,15 @@ void OracleRun::checkLoopClaims(ivclass::InductionAnalysis &IA,
     // wrapped sequence, that makes the claim unfalsifiable on this run.
     try {
       if (C.hasClosedForm())
-        checkClosedForm(IA, C, L->name(), Name, Seq, Env);
+        checkClosedForm(IA, C, LoopName, Name, Seq, Env);
       else if (C.isWrapAround())
-        checkWrapAround(IA, C, L->name(), Name, Seq, Env);
+        checkWrapAround(IA, C, LoopName, Name, Seq, Env);
       else if (C.isPeriodic())
-        checkPeriodic(IA, C, L->name(), Name, Seq, Env);
+        checkPeriodic(IA, C, LoopName, Name, Seq, Env);
       else if (C.isMonotonic())
-        checkMonotonic(C, L->name(), Name, Seq);
+        checkMonotonic(C, LoopName, Name, Seq);
       else if (C.isPhasePeriodic())
-        checkPhasePeriodic(IA, C, L->name(), Name, Seq, Env);
+        checkPhasePeriodic(IA, C, LoopName, Name, Seq, Env);
     } catch (const RationalOverflow &) {
       static const stats::Counter NumOverflowSkips(
           "fuzz.check.overflow_skips");
@@ -368,7 +369,7 @@ void OracleRun::checkMemberClaims(ivclass::InductionAnalysis &IA,
           }
           Checked = true;
           if (*Expected != Seq[H]) {
-            mismatch("partial", L->name(), std::string(I->name()),
+            mismatch("partial", std::string(L->name()), std::string(I->name()),
                      IA.strNested(C),
                      renderSeq(Seq) + " (value " + std::to_string(Seq[H]) +
                          " at h=" + std::to_string(H) + ", form gives " +
@@ -392,7 +393,7 @@ void OracleRun::checkWrapAround(ivclass::InductionAnalysis &IA,
                                 const std::string &Name,
                                 const std::vector<int64_t> &Seq,
                                 const SymbolEnv &Env) {
-  const ivclass::Classification *Inner = C.Inner.get();
+  const ivclass::Classification *Inner = C.Inner;
   if (!Inner || Seq.size() <= C.WrapOrder)
     return;
   // After `order` iterations the value follows the inner class, shifted:
@@ -563,7 +564,7 @@ void OracleRun::checkTripCount(ivclass::InductionAnalysis &IA,
     int64_t Expected = (TC.Guarded && *Count < 0) ? 0 : *Count;
     ++Result.Checks.TripCount;
     if (Visits != Expected + 1)
-      mismatch("trip-count", L->name(), "",
+      mismatch("trip-count", std::string(L->name()), "",
                TC.str(IA.namer()) + " (expecting " +
                    std::to_string(Expected + 1) + " header visits)",
                std::to_string(Visits) + " header visits");
@@ -573,7 +574,7 @@ void OracleRun::checkTripCount(ivclass::InductionAnalysis &IA,
       return;
     ++Result.Checks.TripCount;
     if (Visits - 1 > *Max)
-      mismatch("trip-count", L->name(), "",
+      mismatch("trip-count", std::string(L->name()), "",
                "max trip count " + std::to_string(*Max),
                std::to_string(Visits - 1) + " observed stays");
   }
@@ -610,7 +611,7 @@ void OracleRun::checkBaseline(ivclass::InductionAnalysis &IA,
     ++Result.Checks.Baseline;
     const ivclass::Classification &C = IA.classify(V, L);
     if (!C.isLinear() && !C.isInvariant())
-      mismatch("baseline", L->name(), std::string(V->name()),
+      mismatch("baseline", std::string(L->name()), std::string(V->name()),
                "unified analysis subsumes classical IVs",
                std::string("classical found a linear IV, unified says ") +
                    ivclass::ivKindName(C.Kind));

@@ -93,7 +93,8 @@ ExecutionTrace run(const ir::Function &F, const std::vector<int64_t> &Args,
                    const ExecOptions &Opts = ExecOptions());
 
 /// Convenience: pre-seeds array contents before running.  Keys are indices
-/// (one vector per cell).
+/// (one vector per cell).  Arrays \p F never names are skipped: nothing in
+/// the function can observe them.
 ExecutionTrace
 runWithArrays(const ir::Function &F, const std::vector<int64_t> &Args,
               const std::map<std::string,

@@ -167,8 +167,12 @@ unsigned Function::removeUnreachableBlocks() {
   if (Blocks.empty())
     return 0;
   // Mark blocks reachable from the entry.
-  std::vector<char> Reach(Blocks.size(), 0);
-  std::vector<BasicBlock *> Work{entry()};
+  support::ScratchScope Scratch;
+  support::Arena &S = Scratch.arena();
+  support::ArenaVector<char> Reach;
+  Reach.resize(S, Blocks.size(), 0);
+  support::ArenaVector<BasicBlock *> Work;
+  Work.push_back(S, entry());
   Reach[entry()->id()] = 1;
   while (!Work.empty()) {
     BasicBlock *BB = Work.back();
@@ -176,7 +180,7 @@ unsigned Function::removeUnreachableBlocks() {
     for (BasicBlock *Succ : BB->successors())
       if (!Reach[Succ->id()]) {
         Reach[Succ->id()] = 1;
-        Work.push_back(Succ);
+        Work.push_back(S, Succ);
       }
   }
   // Prune phi incomings that flow from doomed blocks.
@@ -206,39 +210,43 @@ unsigned Function::removeUnreachableBlocks() {
   return Removed;
 }
 
-std::vector<BasicBlock *> Function::reversePostOrder() const {
-  std::vector<BasicBlock *> PostOrder;
-  std::vector<char> Visited(Blocks.size(), 0);
-  // Iterative DFS with an explicit stack of (block, next-successor) frames.
+std::span<BasicBlock *const>
+Function::reachableRPO(support::Arena &Out) const {
+  if (Blocks.empty())
+    return {};
+  BasicBlock **Order = Out.allocateArray<BasicBlock *>(Blocks.size());
+  size_t N = 0;
+  support::ScratchScope Scratch;
+  support::Arena &S = Scratch.arena();
+  support::ArenaVector<char> Visited;
+  Visited.resize(S, Blocks.size(), 0);
+  // Iterative DFS with an explicit stack of (block, next-successor) frames;
+  // post order fills Order, which is then reversed in place.
   struct Frame {
     BasicBlock *BB;
     std::span<BasicBlock *const> Succs;
-    size_t Next = 0;
+    size_t Next;
   };
-  if (!Blocks.empty()) {
-    std::vector<Frame> Stack;
-    BasicBlock *Entry = Blocks.front();
-    Visited[Entry->id()] = 1;
-    Stack.push_back({Entry, Entry->successors()});
-    while (!Stack.empty()) {
-      Frame &F = Stack.back();
-      if (F.Next == F.Succs.size()) {
-        PostOrder.push_back(F.BB);
-        Stack.pop_back();
-        continue;
-      }
-      BasicBlock *Succ = F.Succs[F.Next++];
-      if (!Visited[Succ->id()]) {
-        Visited[Succ->id()] = 1;
-        Stack.push_back({Succ, Succ->successors()});
-      }
+  support::ArenaVector<Frame> Stack;
+  Stack.reserve(S, Blocks.size());
+  BasicBlock *Entry = Blocks.front();
+  Visited[Entry->id()] = 1;
+  Stack.push_back(S, {Entry, Entry->successors(), 0});
+  while (!Stack.empty()) {
+    Frame &F = Stack.back();
+    if (F.Next == F.Succs.size()) {
+      Order[N++] = F.BB;
+      Stack.pop_back();
+      continue;
+    }
+    BasicBlock *Succ = F.Succs[F.Next++];
+    if (!Visited[Succ->id()]) {
+      Visited[Succ->id()] = 1;
+      Stack.push_back(S, {Succ, Succ->successors(), 0});
     }
   }
-  std::reverse(PostOrder.begin(), PostOrder.end());
-  for (BasicBlock *BB : Blocks)
-    if (!Visited[BB->id()])
-      PostOrder.push_back(BB);
-  return PostOrder;
+  std::reverse(Order, Order + N);
+  return {Order, N};
 }
 
 size_t Function::instructionCount() const {

@@ -44,9 +44,10 @@ public:
 
   const std::string &name() const { return Name; }
 
-  /// The unit's arena; everything reachable from this function lives here.
-  support::Arena &arena() { return A; }
-  const support::Arena &arena() const { return A; }
+  /// The unit's arena; everything reachable from this function lives here,
+  /// and so do the analyses of it that live as long as it does (dominator
+  /// tree, loops), which is why a const function hands it out too.
+  support::Arena &arena() const { return A; }
 
   /// The unit's interner; IR names are views into it.
   support::StringInterner &interner() { return SI; }
@@ -107,9 +108,9 @@ public:
   /// (operand scan; this IR keeps no use lists).
   void replaceAllUsesWith(Value *From, Value *To);
 
-  /// Returns blocks in reverse post order from the entry.  Unreachable
-  /// blocks are appended at the end in creation order.
-  std::vector<BasicBlock *> reversePostOrder() const;
+  /// The blocks reachable from the entry in reverse post order, stored in
+  /// \p Out.
+  std::span<BasicBlock *const> reachableRPO(support::Arena &Out) const;
 
   /// Total instruction count, for stats and benches.
   size_t instructionCount() const;
@@ -144,7 +145,7 @@ private:
   /// Grows the symbol-indexed side tables to cover \p Sym.
   void ensureSymbolTables(support::Symbol Sym);
 
-  support::Arena A;                 // must precede everything arena-backed
+  mutable support::Arena A;         // must precede everything arena-backed
   support::StringInterner SI{A};
   std::string Name;
   support::ArenaVector<BasicBlock *> Blocks;

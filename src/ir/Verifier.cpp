@@ -27,7 +27,10 @@ std::vector<std::string> biv::ir::verify(const Function &F) {
   // Membership test for "defined in this function": instruction sequence
   // numbers are unique within a function (monotonic allocation, dense after
   // renumbering), so a seq-indexed pointer table replaces the pointer set.
-  std::vector<const Instruction *> BySeq(F.instrSeqBound(), nullptr);
+  biv::support::ScratchScope Scratch;
+  biv::support::Arena &S = Scratch.arena();
+  biv::support::ArenaVector<const Instruction *> BySeq;
+  BySeq.resize(S, F.instrSeqBound(), nullptr);
   for (const BasicBlock *BB : F.blocks())
     for (const Instruction *I : *BB)
       BySeq[I->seq()] = I;
@@ -36,8 +39,8 @@ std::vector<std::string> biv::ir::verify(const Function &F) {
     return I->seq() < BySeq.size() && BySeq[I->seq()] == I;
   };
 
-  // Sort scratch reused across phis (allocates once, not per phi).
-  std::vector<const BasicBlock *> IncomingScratch, PredScratch;
+  // Sort scratch reused across phis.
+  biv::support::ArenaVector<const BasicBlock *> IncomingScratch, PredScratch;
 
   for (const BasicBlock *BB : F.blocks()) {
     if (BB->empty()) {
@@ -65,12 +68,16 @@ std::vector<std::string> biv::ir::verify(const Function &F) {
         problem(BB, "phi after non-phi instruction");
       if (I->numOperands() != I->blocks().size())
         problem(BB, "phi operand/block count mismatch");
-      IncomingScratch.assign(I->blocks().begin(), I->blocks().end());
-      PredScratch.assign(BB->predecessors().begin(),
-                         BB->predecessors().end());
+      IncomingScratch.clear();
+      for (const BasicBlock *In : I->blocks())
+        IncomingScratch.push_back(S, In);
+      PredScratch.clear();
+      for (const BasicBlock *Pred : BB->predecessors())
+        PredScratch.push_back(S, Pred);
       std::sort(IncomingScratch.begin(), IncomingScratch.end());
       std::sort(PredScratch.begin(), PredScratch.end());
-      if (IncomingScratch != PredScratch)
+      if (!std::equal(IncomingScratch.begin(), IncomingScratch.end(),
+                      PredScratch.begin(), PredScratch.end()))
         problem(BB, "phi incoming blocks do not match predecessors");
     }
     // Operand sanity.

@@ -55,19 +55,21 @@ Classification Classification::fromForm(const analysis::Loop *L,
 
 Classification Classification::wrapAround(const analysis::Loop *L,
                                           unsigned Order,
-                                          Classification InnerClass) {
+                                          const Classification *InnerClass) {
+  assert(InnerClass && !InnerClass->isWrapAround() &&
+         "wrap-around orders add up instead of nesting");
   Classification C;
   C.Kind = IVKind::WrapAround;
   C.L = L;
   C.WrapOrder = Order;
-  C.Inner = std::make_shared<Classification>(std::move(InnerClass));
+  C.Inner = InnerClass;
   return C;
 }
 
 Classification Classification::periodic(const analysis::Loop *L,
                                         unsigned FamilyId, unsigned Period,
                                         unsigned Phase,
-                                        std::vector<Affine> RingInits) {
+                                        std::span<const Affine> RingInits) {
   assert(Period >= 2 && "periodic family needs period >= 2");
   Classification C;
   C.Kind = IVKind::Periodic;
@@ -75,7 +77,7 @@ Classification Classification::periodic(const analysis::Loop *L,
   C.FamilyId = FamilyId;
   C.Period = Period;
   C.Phase = Phase;
-  C.RingInits = std::move(RingInits);
+  C.RingInits = RingInits;
   return C;
 }
 

@@ -17,7 +17,7 @@
 #define BEYONDIV_IVCLASS_CLASSIFICATION_H
 
 #include "ivclass/ClosedForm.h"
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +59,11 @@ enum class MonotoneDir { Increasing, Decreasing };
 /// Affine symbols inside Form are values defined outside the loop, which may
 /// themselves be classified in an enclosing loop -- that is the paper's
 /// nested tuple, e.g. k3 = (L18, (L17, 0, 204), 2).
+///
+/// A wrap-around's inner class and a periodic family's ring are immutable
+/// and shared by every copy: they are views of storage the analysis' class
+/// table keeps (ClassTable::hold), so a classification is valid as long as
+/// the InductionAnalysis that produced it.
 class Classification {
 public:
   IVKind Kind = IVKind::Unknown;
@@ -75,8 +80,9 @@ public:
 
   // --- WrapAround ---
   /// After Order iterations the value follows Inner's class (Figure 4).
+  /// Inner is never itself a wrap-around: orders add up instead.
   unsigned WrapOrder = 0;
-  std::shared_ptr<Classification> Inner;
+  const Classification *Inner = nullptr;
 
   // --- Periodic / PhasePeriodic ---
   unsigned Period = 0;
@@ -88,7 +94,7 @@ public:
   unsigned Phase = 0;
   /// Initial values of the family in ring order (affine; distinctness is
   /// checked by the dependence tests).
-  std::vector<Affine> RingInits;
+  std::span<const Affine> RingInits;
 
   /// Affine image of a periodic member: the classified value equals
   /// PScale * member + POffset (so `2*j` keeps j's family identity and the
@@ -127,12 +133,14 @@ public:
   /// Builds Linear/Polynomial/Geometric/Invariant from \p Form 's shape.
   static Classification fromForm(const analysis::Loop *L, ClosedForm Form);
 
+  /// \p InnerClass must outlive the result (ClassTable::hold).
   static Classification wrapAround(const analysis::Loop *L, unsigned Order,
-                                   Classification InnerClass);
+                                   const Classification *InnerClass);
 
+  /// \p RingInits must outlive the result (ClassTable::hold).
   static Classification periodic(const analysis::Loop *L, unsigned FamilyId,
                                  unsigned Period, unsigned Phase,
-                                 std::vector<Affine> RingInits);
+                                 std::span<const Affine> RingInits);
 
   static Classification monotonic(const analysis::Loop *L, MonotoneDir Dir,
                                   bool Strict);

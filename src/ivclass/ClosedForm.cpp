@@ -16,18 +16,14 @@ template <typename Coeffs> void trimTrailingZeros(Coeffs &P) {
 
 void ClosedForm::normalize() {
   trimTrailingZeros(Poly);
-  if (!Geo)
-    return;
-  for (auto It = Geo->begin(); It != Geo->end();) {
+  for (auto It = Geo.begin(); It != Geo.end();) {
     assert(It->first != 0 && It->first != 1 && "degenerate exponential base");
     trimTrailingZeros(It->second);
     if (It->second.empty())
-      It = Geo->erase(It);
+      It = Geo.erase(It);
     else
       ++It;
   }
-  if (Geo->empty())
-    Geo.reset();
 }
 
 ClosedForm ClosedForm::constant(Affine C) {
@@ -49,18 +45,17 @@ ClosedForm ClosedForm::linear(Affine Init, Affine Step) {
 
 ClosedForm ClosedForm::make(std::vector<Affine> Poly,
                             std::map<int64_t, Affine> Geo) {
-  std::map<int64_t, ExpPoly> Wide;
+  GeoTerms Wide;
   for (auto &[Base, Coeff] : Geo)
-    Wide[Base] = {std::move(Coeff)};
-  return makeExp(std::move(Poly), std::move(Wide));
+    Wide[Base].push_back(std::move(Coeff));
+  return makeExp(Poly, std::move(Wide));
 }
 
-ClosedForm ClosedForm::makeExp(std::vector<Affine> Poly,
-                               std::map<int64_t, ExpPoly> Geo) {
+ClosedForm ClosedForm::makeExp(std::span<const Affine> Poly, GeoTerms Geo) {
   ClosedForm F;
   F.Poly.reserve(Poly.size());
-  for (Affine &C : Poly)
-    F.Poly.push_back(std::move(C));
+  for (const Affine &C : Poly)
+    F.Poly.push_back(C);
   for (auto &[Base, Coeff] : Geo) {
     if (Base == 1) {
       // Base-1 exponentials are plain polynomial terms.
@@ -70,7 +65,7 @@ ClosedForm ClosedForm::makeExp(std::vector<Affine> Poly,
         F.Poly[J] += Coeff[J];
       continue;
     }
-    F.geoMut()[Base] = std::move(Coeff);
+    F.Geo[Base] = std::move(Coeff);
   }
   F.normalize();
   return F;
@@ -94,7 +89,7 @@ ClosedForm ClosedForm::operator-() const {
     ExpPoly N;
     for (const Affine &C : Coeff)
       N.push_back(-C);
-    F.geoMut()[Base] = std::move(N);
+    F.Geo[Base] = std::move(N);
   }
   return F;
 }
@@ -106,7 +101,7 @@ ClosedForm ClosedForm::operator+(const ClosedForm &RHS) const {
   for (size_t K = 0; K < RHS.Poly.size(); ++K)
     F.Poly[K] += RHS.Poly[K];
   for (const auto &[Base, Coeff] : RHS.geoTerms()) {
-    ExpPoly &Dst = F.geoMut()[Base];
+    ExpPoly &Dst = F.Geo[Base];
     if (Dst.size() < Coeff.size())
       Dst.resize(Coeff.size());
     for (size_t J = 0; J < Coeff.size(); ++J)
@@ -125,7 +120,7 @@ ClosedForm ClosedForm::operator-(const ClosedForm &RHS) const {
   for (size_t K = 0; K < RHS.Poly.size(); ++K)
     F.Poly[K] -= RHS.Poly[K];
   for (const auto &[Base, Coeff] : RHS.geoTerms()) {
-    ExpPoly &Dst = F.geoMut()[Base]; // default-constructs empty when absent
+    ExpPoly &Dst = F.Geo[Base]; // default-constructs empty when absent
     if (Dst.size() < Coeff.size())
       Dst.resize(Coeff.size());
     for (size_t J = 0; J < Coeff.size(); ++J)
@@ -145,7 +140,7 @@ ClosedForm ClosedForm::operator*(const Rational &Scale) const {
     ExpPoly N;
     for (const Affine &C : Coeff)
       N.push_back(C * Scale);
-    F.geoMut()[Base] = std::move(N);
+    F.Geo[Base] = std::move(N);
   }
   return F;
 }
@@ -180,7 +175,7 @@ std::optional<ClosedForm> ClosedForm::mulChecked(const ClosedForm &RHS) const {
     if (Base == 1)
       addInto(F.Poly);
     else
-      addInto(F.geoMut()[Base]);
+      addInto(F.Geo[Base]);
   };
   // Exponential x exponential: bases multiply, coefficients convolve.
   for (const auto &[B1, C1] : geoTerms())
@@ -199,8 +194,7 @@ std::optional<ClosedForm> ClosedForm::mulChecked(const ClosedForm &RHS) const {
     }
   // Polynomial x exponential cross terms: h^k * (p(h) * b^h) shifts the
   // coefficient polynomial by k.
-  auto crossTerms = [&](const PolyCoeffs &P,
-                        const std::map<int64_t, ExpPoly> &G) -> bool {
+  auto crossTerms = [&](const PolyCoeffs &P, const GeoTerms &G) -> bool {
     for (size_t K = 0; K < P.size(); ++K) {
       if (P[K].isZero())
         continue;
@@ -272,7 +266,7 @@ std::optional<ClosedForm> ClosedForm::shifted(int64_t Delta) const {
       return std::nullopt;
     ExpPoly Dst;
     shiftPoly(Coeff, Dst, Rational(Base).pow(Delta));
-    F.geoMut()[Base] = std::move(Dst);
+    F.Geo[Base] = std::move(Dst);
   }
   F.normalize();
   return F;
@@ -299,9 +293,9 @@ std::optional<ClosedForm> ClosedForm::atLinear(int64_t K, int64_t P) const {
       }
     }
   };
-  std::vector<Affine> NewPoly;
+  PolyCoeffs NewPoly;
   stretchPoly(Poly, NewPoly, Rational(1));
-  std::map<int64_t, ExpPoly> NewGeo;
+  GeoTerms NewGeo;
   // p(h) * b^h at h = K*c+P is (p(K*c+P) * b^P) * (b^K)^c.
   for (const auto &[Base, Coeff] : geoTerms()) {
     Rational Stretched = Rational(Base).pow(K);
@@ -314,7 +308,7 @@ std::optional<ClosedForm> ClosedForm::atLinear(int64_t K, int64_t P) const {
   }
   // makeExp folds base-1 terms ((-1)^h stretched by an even K) into the
   // polynomial part and normalizes.
-  return makeExp(std::move(NewPoly), std::move(NewGeo));
+  return makeExp(NewPoly, std::move(NewGeo));
 }
 
 std::optional<Affine> ClosedForm::evaluateAtAffine(const Affine &TC) const {

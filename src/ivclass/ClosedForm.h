@@ -29,22 +29,108 @@
 #include "support/Affine.h"
 #include "support/Rational.h"
 #include "support/SmallVector.h"
+#include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace biv {
 namespace ivclass {
 
 /// Polynomial coefficient of one exponential term: sum_j p[j] * h^j
-/// multiplying b^h.  Like the plain polynomial part, index = power of h.
-using ExpPoly = std::vector<Affine>;
+/// multiplying b^h.  Like the plain polynomial part, index = power of h;
+/// the geometric class's constant coefficient stays inline.
+using ExpPoly = SmallVector<Affine, 1>;
 
 /// Coefficients of the polynomial part, index = power of h.  Invariants and
 /// linear tuples (degree <= 1) keep theirs inline, without a heap block.
 using PolyCoeffs = SmallVector<Affine, 2>;
+
+/// The exponential terms of a form: base b -> coefficient polynomial of
+/// b^h, ascending by base.  A flat sorted list with the map operations the
+/// analyses use.  Most forms have no exponential term, so the list lives
+/// behind a pointer that stays null for them; a geometric form copies its
+/// terms in one allocation.
+class GeoTerms {
+public:
+  using value_type = std::pair<int64_t, ExpPoly>;
+  using iterator = value_type *;
+  using const_iterator = const value_type *;
+
+  GeoTerms() = default;
+  GeoTerms(std::initializer_list<value_type> Init) {
+    for (const value_type &T : Init)
+      (*this)[T.first] = T.second;
+  }
+  GeoTerms(const GeoTerms &O)
+      : Terms(O.Terms ? std::make_unique<List>(*O.Terms) : nullptr) {}
+  GeoTerms(GeoTerms &&) noexcept = default;
+  GeoTerms &operator=(const GeoTerms &O) {
+    if (this != &O)
+      Terms = O.Terms ? std::make_unique<List>(*O.Terms) : nullptr;
+    return *this;
+  }
+  GeoTerms &operator=(GeoTerms &&) noexcept = default;
+
+  iterator begin() { return Terms ? Terms->begin() : nullptr; }
+  iterator end() { return Terms ? Terms->end() : nullptr; }
+  const_iterator begin() const { return Terms ? Terms->begin() : nullptr; }
+  const_iterator end() const { return Terms ? Terms->end() : nullptr; }
+  size_t size() const { return Terms ? Terms->size() : 0; }
+  bool empty() const { return size() == 0; }
+
+  const_iterator find(int64_t Base) const {
+    const_iterator It = lowerBound(Base);
+    return It != end() && It->first == Base ? It : end();
+  }
+  size_t count(int64_t Base) const { return find(Base) != end(); }
+
+  /// The coefficient polynomial of \p Base, inserted empty when absent.
+  ExpPoly &operator[](int64_t Base) {
+    const size_t Pos = size_t(lowerBound(Base) - begin());
+    if (!Terms)
+      Terms = std::make_unique<List>();
+    if (Pos == Terms->size() || (*Terms)[Pos].first != Base) {
+      Terms->push_back({Base, ExpPoly()});
+      std::rotate(Terms->begin() + Pos, Terms->end() - 1, Terms->end());
+    }
+    return (*Terms)[Pos].second;
+  }
+
+  /// Removes the term at \p It; returns the position after it.  Removing
+  /// the last term releases the list.
+  iterator erase(iterator It) {
+    std::move(It + 1, end(), It);
+    Terms->pop_back();
+    if (Terms->empty()) {
+      Terms.reset();
+      return nullptr;
+    }
+    return It;
+  }
+
+  bool operator==(const GeoTerms &O) const {
+    if (empty() || O.empty())
+      return empty() == O.empty();
+    return *Terms == *O.Terms;
+  }
+
+private:
+  using List = SmallVector<value_type, 1>;
+
+  const_iterator lowerBound(int64_t Base) const {
+    return std::lower_bound(
+        begin(), end(), Base,
+        [](const value_type &T, int64_t B) { return T.first < B; });
+  }
+
+  std::unique_ptr<List> Terms;
+};
 
 /// value(h) = sum_k poly[k] * h^k  +  sum_b (sum_j geo[b][j] * h^j) * b^h.
 ///
@@ -56,18 +142,6 @@ class ClosedForm {
 public:
   /// Constructs the zero form.
   ClosedForm() = default;
-  ClosedForm(const ClosedForm &O)
-      : Poly(O.Poly),
-        Geo(O.Geo ? std::make_unique<GeoMap>(*O.Geo) : nullptr) {}
-  ClosedForm(ClosedForm &&) noexcept = default;
-  ClosedForm &operator=(const ClosedForm &O) {
-    if (this != &O) {
-      Poly = O.Poly;
-      Geo = O.Geo ? std::make_unique<GeoMap>(*O.Geo) : nullptr;
-    }
-    return *this;
-  }
-  ClosedForm &operator=(ClosedForm &&) noexcept = default;
 
   /// The constant (loop-invariant) form \p C.
   static ClosedForm constant(Affine C);
@@ -85,14 +159,13 @@ public:
 
   /// Builds from explicit coefficients with full coefficient polynomials on
   /// the exponential terms (normalizes).
-  static ClosedForm makeExp(std::vector<Affine> Poly,
-                            std::map<int64_t, ExpPoly> Geo);
+  static ClosedForm makeExp(std::span<const Affine> Poly, GeoTerms Geo);
 
-  bool isZero() const { return Poly.empty() && !Geo; }
-  bool isInvariant() const { return degree() == 0 && !Geo; }
-  bool isLinear() const { return degree() <= 1 && !Geo; }
-  bool isPolynomial() const { return !Geo; }
-  bool hasExponential() const { return bool(Geo); }
+  bool isZero() const { return Poly.empty() && Geo.empty(); }
+  bool isInvariant() const { return degree() == 0 && Geo.empty(); }
+  bool isLinear() const { return degree() <= 1 && Geo.empty(); }
+  bool isPolynomial() const { return Geo.empty(); }
+  bool hasExponential() const { return !Geo.empty(); }
 
   /// True when some exponential term carries a non-constant coefficient
   /// polynomial (e.g. h*2^h) -- the c-finite extension beyond the paper's
@@ -123,10 +196,7 @@ public:
     return coeff(1);
   }
 
-  const std::map<int64_t, ExpPoly> &geoTerms() const {
-    static const GeoMap None;
-    return Geo ? *Geo : None;
-  }
+  const GeoTerms &geoTerms() const { return Geo; }
 
   /// Coefficient of h^J * Base^h (zero when absent).
   Affine geoCoeff(int64_t Base, unsigned J = 0) const {
@@ -134,15 +204,6 @@ public:
     if (It == geoTerms().end() || J >= It->second.size())
       return Affine();
     return It->second[J];
-  }
-
-  /// Degree of the coefficient polynomial on Base^h (0 when absent or
-  /// constant).
-  unsigned geoDegree(int64_t Base) const {
-    auto It = geoTerms().find(Base);
-    return It == geoTerms().end() || It->second.size() <= 1
-               ? 0
-               : unsigned(It->second.size() - 1);
   }
 
   ClosedForm operator-() const;
@@ -203,21 +264,12 @@ public:
                 const SymbolNamer &Namer = SymbolNamer()) const;
 
 private:
-  using GeoMap = std::map<int64_t, ExpPoly>;
-
   void normalize();
-  /// The exponential terms for writing, created on first use.
-  GeoMap &geoMut() {
-    if (!Geo)
-      Geo = std::make_unique<GeoMap>();
-    return *Geo;
-  }
 
   PolyCoeffs Poly;
-  /// Exponential terms; null when there are none, as in every invariant and
-  /// polynomial form, so those forms stay small.  normalize() never leaves
-  /// an empty map behind.
-  std::unique_ptr<GeoMap> Geo;
+  /// Exponential terms; empty in every invariant and polynomial form.
+  /// normalize() never leaves an empty coefficient polynomial behind.
+  GeoTerms Geo;
 };
 
 } // namespace ivclass

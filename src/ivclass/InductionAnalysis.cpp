@@ -10,7 +10,8 @@
 #include <algorithm>
 #include <iterator>
 #include <optional>
-#include <unordered_set>
+#include <memory>
+#include <unordered_map>
 
 using namespace biv;
 using namespace biv::ivclass;
@@ -30,27 +31,50 @@ uint32_t &ClassTable::slotFor(const ir::Value *V) {
   const size_t Mask = Index.size() - 1;
   for (size_t S = size_t(Key ^ (Key >> 32)) & Mask;; S = (S + 1) & Mask) {
     uint32_t &Slot = Index[S];
-    if (Slot == EmptySlot || Entries[Slot].first == V)
+    if (Slot == EmptySlot || Entries[Slot].V == V)
       return Slot;
   }
 }
 
 void ClassTable::rehash(size_t NewCap) {
-  Index.assign(NewCap, EmptySlot);
+  // Exact-size: the outgrown index stays behind in the arena, so growth
+  // doubles rather than over-reserving.
+  Index = {};
+  Index.resize(*A, NewCap, EmptySlot);
   for (uint32_t E = 0; E < Entries.size(); ++E)
-    slotFor(Entries[E].first) = E;
+    slotFor(Entries[E].V) = E;
 }
 
 ClassTable::~ClassTable() {
-  for (const auto &[V, C] : Entries)
+  for (const Entry &E : Entries)
+    E.C->~Classification();
+  for (Classification *C : Held)
     C->~Classification();
+  for (std::span<Affine> Ring : HeldRings)
+    std::destroy(Ring.begin(), Ring.end());
+}
+
+const Classification *ClassTable::hold(Classification C) {
+  auto *Kept = new (A->allocate(sizeof(Classification),
+                                alignof(Classification)))
+      Classification(std::move(C));
+  Held.push_back(*A, Kept);
+  return Kept;
+}
+
+std::span<const Affine> ClassTable::hold(std::span<const Affine> Values) {
+  auto *Kept = static_cast<Affine *>(
+      A->allocate(Values.size() * sizeof(Affine), alignof(Affine)));
+  std::uninitialized_copy(Values.begin(), Values.end(), Kept);
+  HeldRings.push_back(*A, {Kept, Values.size()});
+  return {Kept, Values.size()};
 }
 
 Classification *ClassTable::find(const ir::Value *V) {
   if (Index.empty())
     return nullptr;
   uint32_t Slot = slotFor(V);
-  return Slot == EmptySlot ? nullptr : at(Slot);
+  return Slot == EmptySlot ? nullptr : Entries[Slot].C;
 }
 
 Classification &ClassTable::getOrCreate(const ir::Value *V, bool &Created) {
@@ -59,13 +83,11 @@ Classification &ClassTable::getOrCreate(const ir::Value *V, bool &Created) {
   uint32_t &Slot = slotFor(V);
   Created = Slot == EmptySlot;
   if (!Created)
-    return *at(Slot);
-  const size_t Pos = Entries.size();
-  if (Pos % ChunkEntries == 0)
-    Chunks.push_back(std::make_unique_for_overwrite<Chunk>());
-  Classification *C = new (at(Pos)) Classification();
-  Slot = uint32_t(Pos);
-  Entries.push_back({V, C});
+    return *Entries[Slot].C;
+  auto *C = new (A->allocate(sizeof(Classification), alignof(Classification)))
+      Classification();
+  Slot = uint32_t(Entries.size());
+  Entries.push_back(*A, {V, C});
   return *C;
 }
 
@@ -114,23 +136,34 @@ using SymSet = SmallVector<LinTerm, 1>;
 /// The loop-header phis of one region.
 using PhiList = SmallVector<ir::Instruction *, 4>;
 
-/// Classifies one loop.  Owned state is sized to the loop; long-lived
-/// results land in the analysis' ClassMap.
+/// Classifies one loop.  Its state is sized to the loop and lives in the
+/// scratch arena of the caller's per-loop scope; long-lived results land in
+/// the analysis' ClassMap.
 class LoopClassifier {
 public:
   LoopClassifier(InductionAnalysis &IA, const analysis::Loop *L,
                  ClassTable &Map, const InductionAnalysis::Options &Opts,
                  unsigned &FamilyId, InductionAnalysis::Stats &S,
-                 std::vector<unsigned> &SeqToNode)
-      : IA(IA), L(L), G(*L, IA.loopInfo(), SeqToNode), Map(Map), Opts(Opts),
-        NextFamilyId(FamilyId), S(S), InSCR(G.nodes().size(), 0),
-        PathMemo(G.nodes().size()) {
+                 std::span<unsigned> SeqToNode, support::Arena &Scratch)
+      : IA(IA), L(L), G(*L, IA.loopInfo(), SeqToNode, Scratch), Map(Map),
+        Opts(Opts), NextFamilyId(FamilyId), S(S), Scratch(Scratch) {
+    const size_t N = G.nodes().size();
+    InSCR.resize(Scratch, N, 0);
+    PathMemo = static_cast<MemoSlot *>(
+        Scratch.allocate(N * sizeof(MemoSlot), alignof(MemoSlot)));
+    std::uninitialized_default_construct_n(PathMemo, N);
+    // A node is touched at most once per region, so this never grows.
+    MemoTouched.reserve(Scratch, N);
     // Arrays written inside the loop (for the array-load invariance rule).
     for (ir::BasicBlock *BB : L->blocks())
       for (const auto &I : *BB)
         if (I->opcode() == ir::Opcode::ArrayStore)
-          StoredArrays.insert(I->array());
+          StoredArrays.push_back(Scratch, I->array());
+    std::sort(StoredArrays.begin(), StoredArrays.end());
   }
+  ~LoopClassifier() { std::destroy_n(PathMemo, G.nodes().size()); }
+  LoopClassifier(const LoopClassifier &) = delete;
+  LoopClassifier &operator=(const LoopClassifier &) = delete;
 
   void run() {
     static const stats::Counter NumSCCs("ivclass.sccs_visited");
@@ -211,15 +244,15 @@ private:
           Shifted->evaluateAt(0) == InitC.Form.initialValue())
         return Classification::fromForm(L, *Shifted);
       ++S.WrapArounds;
-      return Classification::wrapAround(L, 1, CC);
+      return Classification::wrapAround(L, 1, Map.hold(CC));
     }
     if (CC.isWrapAround()) {
       ++S.WrapArounds;
-      return Classification::wrapAround(L, CC.WrapOrder + 1, *CC.Inner);
+      return Classification::wrapAround(L, CC.WrapOrder + 1, CC.Inner);
     }
     if (CC.isPeriodic() || CC.isMonotonic()) {
       ++S.WrapArounds;
-      return Classification::wrapAround(L, 1, CC);
+      return Classification::wrapAround(L, 1, Map.hold(CC));
     }
     return Classification::unknown();
   }
@@ -269,7 +302,8 @@ private:
     case ir::Opcode::ArrayLoad: {
       // The paper's indexed-load rule: invariant address and no stores to
       // the array inside the loop make the load invariant.
-      if (StoredArrays.count(I->array()))
+      if (std::binary_search(StoredArrays.begin(), StoredArrays.end(),
+                             I->array()))
         return Classification::unknown();
       for (ir::Value *Op : I->operands())
         if (!classOf(Op).isInvariant())
@@ -320,7 +354,8 @@ private:
       Classification Inner = negateClass(*C.Inner);
       if (Inner.isUnknown())
         return Classification::unknown();
-      return Classification::wrapAround(C.L, C.WrapOrder, std::move(Inner));
+      return Classification::wrapAround(C.L, C.WrapOrder,
+                                        Map.hold(std::move(Inner)));
     }
     case IVKind::PhasePeriodic:
       // Summaries are attached to header phis after classification and
@@ -372,7 +407,8 @@ private:
       Classification Inner = addClasses(*A.Inner, B);
       if (Inner.isUnknown())
         return Classification::unknown();
-      return Classification::wrapAround(A.L, A.WrapOrder, std::move(Inner));
+      return Classification::wrapAround(A.L, A.WrapOrder,
+                                        Map.hold(std::move(Inner)));
     }
     return Classification::unknown();
   }
@@ -422,7 +458,8 @@ private:
       Classification Inner = mulClasses(I, *A.Inner, B);
       if (Inner.isUnknown())
         return Classification::unknown();
-      return Classification::wrapAround(A.L, A.WrapOrder, std::move(Inner));
+      return Classification::wrapAround(A.L, A.WrapOrder,
+                                        Map.hold(std::move(Inner)));
     }
     return Classification::unknown();
   }
@@ -571,12 +608,13 @@ private:
     // Follow the carried chain from a canonical start; it must visit every
     // header phi exactly once and return.
     // Ring[d] is the member at phase d.
-    std::vector<ir::Instruction *> Ring;
+    support::ArenaVector<ir::Instruction *> Ring;
+    Ring.reserve(Scratch, P);
     ir::Instruction *Cur = HeaderPhis.front();
     for (unsigned Step = 0; Step < P; ++Step) {
       if (std::find(Ring.begin(), Ring.end(), Cur) != Ring.end())
         return false;
-      Ring.push_back(Cur);
+      Ring.push_back(Scratch, Cur);
       ir::Value *Init = nullptr, *Carried = nullptr;
       if (!splitHeaderPhi(Cur, Init, Carried))
         return false;
@@ -589,7 +627,8 @@ private:
       return false;
 
     // Ring of initial values: member at phase d has value Ring[(d+h) mod P].
-    std::vector<Affine> Inits;
+    AffineList Inits;
+    Inits.reserve(P);
     for (ir::Instruction *Phi : Ring) {
       ir::Value *Init = nullptr, *Carried = nullptr;
       splitHeaderPhi(Phi, Init, Carried);
@@ -597,11 +636,12 @@ private:
       Inits.push_back(IC.isInvariant() ? IC.Form.initialValue()
                                        : Affine::symbol(Init));
     }
+    std::span<const Affine> RingInits = Map.hold(Inits);
     unsigned FamilyId = NextFamilyId++;
     ++S.PeriodicFamilies;
     for (unsigned D = 0; D < P; ++D)
       setClass(Ring[D],
-               Classification::periodic(L, FamilyId, P, D, Inits));
+               Classification::periodic(L, FamilyId, P, D, RingInits));
     // Copies take the class of their source phi.
     for (ir::Instruction *N : Region.Nodes)
       if (N->opcode() == ir::Opcode::Copy) {
@@ -610,7 +650,7 @@ private:
         if (It != Ring.end())
           setClass(N, Classification::periodic(L, FamilyId, P,
                                                unsigned(It - Ring.begin()),
-                                               Inits));
+                                               RingInits));
         else
           setClass(N, Classification::unknown());
       }
@@ -654,7 +694,7 @@ private:
     // Break accidental cycles defensively (a cycle not through H would be a
     // malformed graph); mark failure first, overwrite on success.
     PathMemo[Node].Seen = true;
-    MemoTouched.push_back(Node);
+    MemoTouched.push_back(Scratch, Node);
 
     auto combine2 = [&](auto &&Fn) -> std::optional<SymSet> {
       std::optional<SymSet> LHS = evalValue(I->operand(0), H);
@@ -818,7 +858,7 @@ private:
         // for h >= 1.
         ++S.WrapArounds;
         setClass(H, Classification::wrapAround(
-                        L, 1, Classification::fromForm(L, T.B)));
+                        L, 1, Map.hold(Classification::fromForm(L, T.B))));
         for (ir::Instruction *N : Region.Nodes)
           if (N != H)
             setClass(N, Classification::unknown());
@@ -1216,13 +1256,16 @@ private:
   const InductionAnalysis::Options &Opts;
   unsigned &NextFamilyId;
   InductionAnalysis::Stats &S;
-  std::unordered_set<const ir::Array *> StoredArrays;
+  support::Arena &Scratch;
+  /// Arrays stored to inside the loop, sorted.
+  support::ArenaVector<const ir::Array *> StoredArrays;
   /// Node index in G -> membership in the SCR currently being classified.
-  std::vector<char> InSCR;
+  support::ArenaVector<char> InSCR;
   /// Node index in G -> evalValue's result within the current region; the
-  /// slots in MemoTouched are reset when the region is done.
-  std::vector<MemoSlot> PathMemo;
-  std::vector<unsigned> MemoTouched;
+  /// slots in MemoTouched are reset when the region is done.  Scratch
+  /// storage whose slots own heap state, so the destructor destroys them.
+  MemoSlot *PathMemo = nullptr;
+  support::ArenaVector<unsigned> MemoTouched;
 };
 
 } // namespace
@@ -1235,11 +1278,13 @@ InductionAnalysis::InductionAnalysis(ir::Function &F,
                                      const analysis::DominatorTree &DT,
                                      const analysis::LoopInfo &LI,
                                      Options Opts)
-    : F(F), DT(DT), LI(LI), Opts(Opts) {
+    : F(F), DT(DT), LI(LI), Opts(Opts), NullLoopClasses(F.arena()) {
   // Dense numbering backs every per-loop table and the SSA graphs; doing it
   // here (cheap, idempotent) also repairs numbering after mutating passes.
   F.renumberInstructions();
-  ClassMap.resize(LI.loops().size());
+  ClassMap.reserve(LI.loops().size());
+  for (size_t I = 0; I < LI.loops().size(); ++I)
+    ClassMap.emplace_back(F.arena());
   TripCounts.resize(LI.loops().size());
 }
 
@@ -1255,15 +1300,28 @@ void InductionAnalysis::run() {
   stats::ScopedSpan Span(ClassifyPhase);
   // The only function-sized state of the classify path: the SSA graphs'
   // seq -> node map, shared by every loop (each graph resets what it set).
-  std::vector<unsigned> SeqToNode;
-  for (const analysis::Loop *L : LI.innerToOuter())
-    processLoop(L, SeqToNode);
+  // It is grown here, between the loops' scopes, as materialized exit
+  // values add instructions, so no loop's rewind can free it.
+  support::ScratchScope Scratch;
+  support::ArenaVector<unsigned> SeqToNode;
+  std::span<analysis::Loop *const> Loops = LI.loops();
+  for (auto It = Loops.rbegin(); It != Loops.rend(); ++It) {
+    if (SeqToNode.size() < F.instrSeqBound())
+      SeqToNode.resize(Scratch.arena(), F.instrSeqBound(), SSAGraph::NoNode);
+    processLoop(*It, {SeqToNode.data(), SeqToNode.size()});
+  }
 }
 
 void InductionAnalysis::processLoop(const analysis::Loop *L,
-                                    std::vector<unsigned> &SeqToNode) {
-  LoopClassifier(*this, L, tableFor(L), Opts, NextFamilyId, S, SeqToNode)
-      .run();
+                                    std::span<unsigned> SeqToNode) {
+  {
+    // Everything the classifier builds for this loop is rewound here, so
+    // scratch stays proportional to one loop however many there are.
+    support::ScratchScope Scratch;
+    LoopClassifier(*this, L, tableFor(L), Opts, NextFamilyId, S, SeqToNode,
+                   Scratch.arena())
+        .run();
+  }
 
   // Second chance for punted multi-branch loops: runs after the classifier
   // (it consumes sibling classifications) and before the trip count (which
@@ -1421,7 +1479,7 @@ void InductionAnalysis::materializeExitValues(const analysis::Loop *L,
     const Classification *W = C;
     while (W->isWrapAround() && W->Inner) {
       Order += W->WrapOrder;
-      W = W->Inner.get();
+      W = W->Inner;
     }
     if (W->hasClosedForm() ||
         (W->isPeriodic() && W->Period >= 2 &&

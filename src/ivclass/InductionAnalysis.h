@@ -31,6 +31,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace biv {
@@ -42,14 +44,26 @@ namespace ivclass {
 /// capacity, linear probing, at most 3/4 full) hashed on the dense
 /// Instruction::seq() for instructions and on the address for constants,
 /// arguments and undef; the index stores entry positions, so a probe
-/// compares values for identity.  Entries live in fixed-size chunks that
-/// are constructed in place on first touch, so references stay stable
-/// across inserts and a new entry costs no allocation of its own; the
-/// insertion order is recorded so iteration is deterministic.
+/// compares values for identity.  The index, the entry list and each
+/// entry's storage live in the function's arena (DESIGN.md §11), so
+/// references stay stable across inserts and a new entry costs a pointer
+/// bump; the table runs the entries' destructors, so it must be destroyed
+/// before the function.  The insertion order is recorded so iteration is
+/// deterministic.
 class ClassTable {
 public:
-  ClassTable() = default;
-  ClassTable(ClassTable &&) noexcept = default;
+  struct Entry {
+    const ir::Value *V;
+    Classification *C;
+  };
+
+  explicit ClassTable(support::Arena &A) : A(&A) {}
+  /// Leaves \p O empty, so only one table destroys the entries.
+  ClassTable(ClassTable &&O) noexcept
+      : A(O.A), Index(std::exchange(O.Index, {})),
+        Entries(std::exchange(O.Entries, {})),
+        Held(std::exchange(O.Held, {})),
+        HeldRings(std::exchange(O.HeldRings, {})) {}
   ClassTable &operator=(ClassTable &&) = delete;
   ~ClassTable();
 
@@ -61,37 +75,29 @@ public:
   Classification &getOrCreate(const ir::Value *V, bool &Created);
 
   /// Entries in insertion order (value, classification).
-  const std::vector<std::pair<const ir::Value *, const Classification *>> &
-  entries() const {
-    return Entries;
-  }
+  std::span<const Entry> entries() const { return Entries; }
+
+  /// Keeps \p C as long as the table and returns its stable address, for a
+  /// wrap-around's inner class.
+  const Classification *hold(Classification C);
+  /// Keeps a copy of \p Values as long as the table, for a periodic
+  /// family's ring.
+  std::span<const Affine> hold(std::span<const Affine> Values);
 
 private:
   static constexpr uint32_t EmptySlot = ~uint32_t(0);
-  static constexpr size_t ChunkEntries = 16;
-
-  /// Raw storage for ChunkEntries entries; Entries.size() of them, counted
-  /// across chunks in order, are constructed.
-  struct Chunk {
-    alignas(Classification) unsigned char Bytes[ChunkEntries *
-                                                sizeof(Classification)];
-  };
 
   /// The index slot holding \p V's entry position, or the empty slot where
   /// it belongs.  The index must be non-empty.
   uint32_t &slotFor(const ir::Value *V);
   void rehash(size_t NewCap);
 
-  /// Storage of the entry at insertion position \p Pos.
-  Classification *at(size_t Pos) const {
-    return reinterpret_cast<Classification *>(
-        Chunks[Pos / ChunkEntries]->Bytes +
-        (Pos % ChunkEntries) * sizeof(Classification));
-  }
-
-  std::vector<uint32_t> Index;
-  std::vector<std::unique_ptr<Chunk>> Chunks;
-  std::vector<std::pair<const ir::Value *, const Classification *>> Entries;
+  support::Arena *A;
+  support::ArenaVector<uint32_t> Index;
+  support::ArenaVector<Entry> Entries;
+  /// What hold() keeps, destroyed with the table.
+  support::ArenaVector<Classification *> Held;
+  support::ArenaVector<std::span<Affine>> HeldRings;
 };
 
 /// Runs the paper's algorithm over a function and answers classification
@@ -193,7 +199,7 @@ public:
 
 private:
   /// \p SeqToNode is run()'s seq-indexed scratch for the loop's SSA graph.
-  void processLoop(const analysis::Loop *L, std::vector<unsigned> &SeqToNode);
+  void processLoop(const analysis::Loop *L, std::span<unsigned> SeqToNode);
   void materializeExitValues(const analysis::Loop *L,
                              const TripCountInfo &TC);
   /// Builds IR computing \p V (integer affine) at the end of \p BB; returns

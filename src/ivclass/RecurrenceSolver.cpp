@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <vector>
 
 using namespace biv;
@@ -35,10 +36,26 @@ constexpr unsigned MaxUnknowns = 16;
 /// small ones; the characteristic-polynomial root search below is exact and
 /// cheap at this size).
 
+/// Coefficient degree per exponential base, ascending by base: the
+/// exponential half of a basis shape.  Inline for the usual one or two
+/// bases.
+using ExpDegrees = SmallVector<std::pair<int64_t, unsigned>, 2>;
+
+/// The degree entry of \p Base, inserted as 0 (in base order) when absent.
+unsigned &degreeOf(ExpDegrees &D, int64_t Base) {
+  size_t Pos = 0;
+  while (Pos < D.size() && D[Pos].first < Base)
+    ++Pos;
+  if (Pos == D.size() || D[Pos].first != Base) {
+    D.push_back({Base, 0});
+    std::rotate(D.begin() + Pos, D.end() - 1, D.end());
+  }
+  return D[Pos].second;
+}
+
 /// Basis shape of an exponential-polynomial fit: powers of h up to PolyDeg,
 /// plus h^j * b^h for each (b, d) in ExpDeg with j <= d.
-unsigned countUnknowns(unsigned PolyDeg,
-                       const std::map<int64_t, unsigned> &ExpDeg) {
+unsigned countUnknowns(unsigned PolyDeg, const ExpDegrees &ExpDeg) {
   unsigned N = PolyDeg + 1;
   for (const auto &[Base, Deg] : ExpDeg) {
     (void)Base;
@@ -53,8 +70,8 @@ unsigned countUnknowns(unsigned PolyDeg,
 /// {h^k} u {h^j * b^h} at consecutive h is nonsingular, so over-spanning the
 /// true basis is safe -- the surplus coefficients solve to zero.
 std::optional<ClosedForm> fitExpPoly(unsigned PolyDeg,
-                                     const std::map<int64_t, unsigned> &ExpDeg,
-                                     const std::vector<Affine> &Values,
+                                     const ExpDegrees &ExpDeg,
+                                     std::span<const Affine> Values,
                                      unsigned Verify) {
   const unsigned Unknowns = countUnknowns(PolyDeg, ExpDeg);
   if (Unknowns > MaxUnknowns) {
@@ -75,20 +92,19 @@ std::optional<ClosedForm> fitExpPoly(unsigned PolyDeg,
     }
   }
 
-  std::vector<Affine> RHS(Values.begin(), Values.begin() + Unknowns);
-  std::optional<std::vector<Affine>> Coeffs = M.solveAffine(RHS);
+  std::optional<AffineList> Coeffs = M.solveAffine(Values.first(Unknowns));
   if (!Coeffs)
     return std::nullopt;
 
-  std::vector<Affine> Poly(Coeffs->begin(), Coeffs->begin() + PolyDeg + 1);
-  std::map<int64_t, ExpPoly> Geo;
+  GeoTerms Geo;
   unsigned Col = PolyDeg + 1;
   for (const auto &[Base, Deg] : ExpDeg) {
     ExpPoly &P = Geo[Base];
     for (unsigned J = 0; J <= Deg; ++J)
       P.push_back((*Coeffs)[Col++]);
   }
-  ClosedForm Form = ClosedForm::makeExp(std::move(Poly), std::move(Geo));
+  ClosedForm Form = ClosedForm::makeExp(
+      std::span<const Affine>(Coeffs->begin(), PolyDeg + 1), std::move(Geo));
 
   // Verify on the extra iterates; a wrong basis guess fails here.
   for (unsigned V = 0; V < Verify; ++V)
@@ -130,17 +146,18 @@ std::optional<ClosedForm> solveLinearRecurrenceImpl(const Rational &A,
   const int64_t ABase = A.getInteger();
 
   unsigned PolyDeg = B.degree();
-  std::map<int64_t, unsigned> ExpDeg;
+  ExpDegrees ExpDeg;
   for (const auto &[Base, Coeff] : B.geoTerms())
-    ExpDeg[Base] = unsigned(Coeff.size() - 1);
+    ExpDeg.push_back({Base, unsigned(Coeff.size() - 1)}); // ascending bases
   if (ABase == 1) {
     PolyDeg += 1;
   } else {
-    auto It = ExpDeg.find(ABase);
+    auto It = std::find_if(ExpDeg.begin(), ExpDeg.end(),
+                           [&](const auto &E) { return E.first == ABase; });
     if (It != ExpDeg.end())
       It->second += 1; // resonance
     else
-      ExpDeg[ABase] = 0; // homogeneous term
+      degreeOf(ExpDeg, ABase) = 0; // homogeneous term
   }
 
   const unsigned Unknowns = countUnknowns(PolyDeg, ExpDeg);
@@ -150,7 +167,7 @@ std::optional<ClosedForm> solveLinearRecurrenceImpl(const Rational &A,
   }
 
   // First Unknowns values of X, plus one more to verify the basis guess.
-  std::vector<Affine> Values;
+  AffineList Values;
   Values.reserve(Unknowns + 1);
   Values.push_back(Init);
   for (unsigned H = 0; H < Unknowns; ++H)
@@ -250,11 +267,11 @@ solveLinearSystemImpl(const RatMatrix &M, const std::vector<ClosedForm> &B,
   // eigenvalue b raises the coefficient degree of b^h by its multiplicity
   // (repeated roots and resonance both land in the h^j * b^h columns).
   unsigned FPoly = 0;
-  std::map<int64_t, unsigned> ExpDeg;
+  ExpDegrees ExpDeg;
   for (const ClosedForm &Bi : B) {
     FPoly = std::max(FPoly, Bi.degree());
     for (const auto &[Base, Coeff] : Bi.geoTerms()) {
-      unsigned &D = ExpDeg[Base];
+      unsigned &D = degreeOf(ExpDeg, Base);
       D = std::max(D, unsigned(Coeff.size() - 1));
     }
   }
@@ -264,7 +281,7 @@ solveLinearSystemImpl(const RatMatrix &M, const std::vector<ClosedForm> &B,
     Mult.erase(MultOneIt);
   const unsigned PolyDeg = FPoly + MultOne;
   for (const auto &[R, MuR] : Mult)
-    ExpDeg[R] += MuR; // creates the entry for eigenvalue-only bases
+    degreeOf(ExpDeg, R) += MuR; // creates the entry for eigenvalue-only bases
 
   const unsigned Unknowns = countUnknowns(PolyDeg, ExpDeg);
   if (Unknowns > MaxUnknowns) {

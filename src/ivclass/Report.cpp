@@ -53,10 +53,10 @@ std::string biv::ivclass::report(InductionAnalysis &IA,
     Out += " (depth ";
     Out += std::to_string(L->depth());
     Out += "): trip count ";
-    Out += IA.tripCount(L.get()).str(Namer);
+    Out += IA.tripCount(L).str(Namer);
     Out += '\n';
     auto line = [&](const ir::Instruction *I, std::string_view Label) {
-      const Classification &C = IA.classify(I, L.get());
+      const Classification &C = IA.classify(I, L);
       Out += "  ";
       Out += Label;
       Out += ": ";
@@ -72,7 +72,7 @@ std::string biv::ivclass::report(InductionAnalysis &IA,
     }
     if (Opts.AllValues)
       for (ir::BasicBlock *BB : L->blocks()) {
-        if (LI.loopFor(BB) != L.get())
+        if (LI.loopFor(BB) != L)
           continue;
         for (const ir::Instruction *I : *BB) {
           if (I->isPhi() && I->parent() == L->header())
@@ -90,7 +90,7 @@ KindCounts biv::ivclass::countHeaderPhiKinds(InductionAnalysis &IA) {
   KindCounts C;
   for (const auto &L : IA.loopInfo().loops())
     for (ir::Instruction *Phi : L->header()->phis()) {
-      const Classification &PhiClass = IA.classify(Phi, L.get());
+      const Classification &PhiClass = IA.classify(Phi, L);
       if (PhiClass.Partial)
         ++C.Partial;
       switch (PhiClass.Kind) {

@@ -2,42 +2,33 @@
 
 #include "ivclass/SSAGraph.h"
 #include <algorithm>
+#include <cassert>
 
 using namespace biv;
 using namespace biv::ivclass;
 
 SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI,
-                   std::vector<unsigned> &SeqToNode)
-    : Loop(L), SeqToNode(SeqToNode) {
-  ir::Function *F = L.header()->parent();
-
+                   std::span<unsigned> SeqToNode, support::Arena &Scratch)
+    : Loop(L), Scratch(Scratch), SeqToNode(SeqToNode) {
   // Collect the member instructions: blocks whose innermost loop is L.
+  size_t NumNodes = 0;
+  for (ir::BasicBlock *BB : L.blocks())
+    if (LI.loopFor(BB) == &L)
+      NumNodes += BB->size();
+  Nodes.reserve(Scratch, NumNodes);
   for (ir::BasicBlock *BB : L.blocks()) {
     if (LI.loopFor(BB) != &L)
       continue;
-    for (ir::Instruction *I : *BB)
-      Nodes.push_back(I);
-  }
-
-  // Instructions must carry valid dense numbers; number the function on
-  // first contact (idempotent) or when a mutating pass left strays behind.
-  bool Valid = F->instrSeqBound() > 0;
-  for (const ir::Instruction *I : Nodes)
-    if (!Valid || I->seq() >= F->instrSeqBound()) {
-      Valid = false;
-      break;
+    for (ir::Instruction *I : *BB) {
+      assert(I->seq() < SeqToNode.size() && "instructions not numbered");
+      SeqToNode[I->seq()] = unsigned(Nodes.size());
+      Nodes.push_back(Scratch, I);
     }
-  if (!Valid)
-    F->renumberInstructions();
-
-  if (SeqToNode.size() < F->instrSeqBound())
-    SeqToNode.resize(F->instrSeqBound(), NoNode);
-  for (unsigned Idx = 0; Idx < Nodes.size(); ++Idx)
-    SeqToNode[Nodes[Idx]->seq()] = Idx;
+  }
 
   // CSR adjacency, one pass to count and one to fill.
   const unsigned N = Nodes.size();
-  EdgeOffsets.assign(N + 1, 0);
+  EdgeOffsets.resize(Scratch, N + 1, 0);
   auto memberOf = [&](const ir::Value *Op) -> unsigned {
     const auto *OpInst = ir::dyn_cast<ir::Instruction>(Op);
     return OpInst ? nodeIndex(OpInst) : NoNode;
@@ -48,13 +39,12 @@ SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI,
         ++EdgeOffsets[Idx + 1];
   for (unsigned Idx = 0; Idx < N; ++Idx)
     EdgeOffsets[Idx + 1] += EdgeOffsets[Idx];
-  Edges.resize(EdgeOffsets[N]);
-  std::vector<unsigned> Fill(EdgeOffsets.begin(), EdgeOffsets.end() - 1);
-  for (unsigned Idx = 0; Idx < N; ++Idx)
+  Edges.resize(Scratch, EdgeOffsets[N]);
+  for (unsigned Idx = 0, Fill = 0; Idx < N; ++Idx)
     for (const ir::Value *Op : Nodes[Idx]->operands()) {
       unsigned W = memberOf(Op);
       if (W != NoNode)
-        Edges[Fill[Idx]++] = W;
+        Edges[Fill++] = W;
     }
 }
 
@@ -63,35 +53,39 @@ SSAGraph::~SSAGraph() {
     SeqToNode[I->seq()] = NoNode;
 }
 
-SCRList SSAGraph::stronglyConnectedRegions() const {
+std::span<const SCR> SSAGraph::stronglyConnectedRegions() const {
   // Iterative Tarjan so deep use chains in generated benchmarks cannot
-  // overflow the call stack.  All bookkeeping is flat, reserved storage,
-  // and so is the result: regions are slices of one node array.
+  // overflow the call stack.  All bookkeeping is flat scratch sized to the
+  // graph, and so is the result: regions are slices of one node array.
   const unsigned N = Nodes.size();
   constexpr unsigned None = ~0u;
-  std::vector<unsigned> Index(N, None), LowLink(N, None);
-  std::vector<char> OnStack(N, 0);
-  std::vector<unsigned> Stack;
-  Stack.reserve(N);
-  SCRList Result;
-  // Every node lands in exactly one region, so the array never reallocates
-  // and the slices taken below stay valid.
-  Result.Flat.reserve(N);
+  support::ArenaVector<unsigned> Index, LowLink, Stack;
+  Index.resize(Scratch, N, None);
+  LowLink.resize(Scratch, N, None);
+  Stack.reserve(Scratch, N);
+  support::ArenaVector<char> OnStack;
+  OnStack.resize(Scratch, N, 0);
+  // Every node lands in exactly one region and there are at most N
+  // regions, so neither array grows and the slices taken below stay valid.
+  support::ArenaVector<ir::Instruction *> Flat;
+  Flat.reserve(Scratch, N);
+  support::ArenaVector<SCR> Regions;
+  Regions.reserve(Scratch, N);
   unsigned NextIndex = 0;
 
   struct Frame {
     unsigned Node;
     unsigned NextEdge; // index into Edges, runs to EdgeOffsets[Node + 1]
   };
-  std::vector<Frame> CallStack;
-  CallStack.reserve(64);
+  support::ArenaVector<Frame> CallStack;
+  CallStack.reserve(Scratch, N);
 
   for (unsigned Root = 0; Root < N; ++Root) {
     if (Index[Root] != None)
       continue;
-    CallStack.push_back({Root, EdgeOffsets[Root]});
+    CallStack.push_back(Scratch, {Root, EdgeOffsets[Root]});
     Index[Root] = LowLink[Root] = NextIndex++;
-    Stack.push_back(Root);
+    Stack.push_back(Scratch, Root);
     OnStack[Root] = 1;
 
     while (!CallStack.empty()) {
@@ -100,9 +94,9 @@ SCRList SSAGraph::stronglyConnectedRegions() const {
         unsigned W = Edges[F.NextEdge++];
         if (Index[W] == None) {
           Index[W] = LowLink[W] = NextIndex++;
-          Stack.push_back(W);
+          Stack.push_back(Scratch, W);
           OnStack[W] = 1;
-          CallStack.push_back({W, EdgeOffsets[W]});
+          CallStack.push_back(Scratch, {W, EdgeOffsets[W]});
         } else if (OnStack[W]) {
           LowLink[F.Node] = std::min(LowLink[F.Node], Index[W]);
         }
@@ -117,17 +111,17 @@ SCRList SSAGraph::stronglyConnectedRegions() const {
       }
       if (LowLink[V] != Index[V])
         continue;
-      const size_t Begin = Result.Flat.size();
+      const size_t Begin = Flat.size();
       while (true) {
         unsigned W = Stack.back();
         Stack.pop_back();
         OnStack[W] = 0;
-        Result.Flat.push_back(Nodes[W]);
+        Flat.push_back(Scratch, Nodes[W]);
         if (W == V)
           break;
       }
       SCR Region;
-      Region.Nodes = {Result.Flat.data() + Begin, Result.Flat.size() - Begin};
+      Region.Nodes = {Flat.data() + Begin, Flat.size() - Begin};
       if (Region.Nodes.size() > 1) {
         Region.Trivial = false;
       } else {
@@ -138,8 +132,8 @@ SCRList SSAGraph::stronglyConnectedRegions() const {
           if (Op == Only)
             Region.Trivial = false;
       }
-      Result.Regions.push_back(Region);
+      Regions.push_back(Scratch, Region);
     }
   }
-  return Result;
+  return {Regions.data(), Regions.size()};
 }

@@ -439,7 +439,7 @@ private:
     const Classification *W = &C;
     while (W->isWrapAround() && W->Inner) {
       MinH += W->WrapOrder;
-      W = W->Inner.get();
+      W = W->Inner;
     }
     const bool Ring = W->isPeriodic() && W->Period >= 2 &&
                       W->RingInits.size() == W->Period;
@@ -1320,7 +1320,7 @@ private:
                              : Classification::phasePeriodic(L, Result.K, PF);
       if (Result.Shift)
         C = Classification::wrapAround(L, Result.K * Result.Shift,
-                                       std::move(C));
+                                       Map.hold(std::move(C)));
       bool Created = false;
       Map.getOrCreate(Unknowns[I], Created) = std::move(C);
       NumPhis.bump();

@@ -56,11 +56,11 @@ TripCountInfo analyzeExitImpl(const analysis::Loop &L,
   const Classification *LR = &LC, *RR = &RC;
   while (LR->isWrapAround() && LR->Inner && LR->Inner->isPhasePeriodic()) {
     LOrd += LR->WrapOrder;
-    LR = LR->Inner.get();
+    LR = LR->Inner;
   }
   while (RR->isWrapAround() && RR->Inner && RR->Inner->isPhasePeriodic()) {
     ROrd += RR->WrapOrder;
-    RR = RR->Inner.get();
+    RR = RR->Inner;
   }
   const bool LPhase = LR->isPhasePeriodic();
   const bool RPhase = RR->isPhasePeriodic();
@@ -315,7 +315,7 @@ TripCountInfo analyzeExit(const analysis::Loop &L, ir::BasicBlock *Exiting,
 
 TripCountInfo biv::ivclass::computeTripCount(const analysis::Loop &L,
                                              const ClassifyFn &Classify) {
-  const std::vector<ir::BasicBlock *> &Exiting = L.exitingBlocks();
+  std::span<ir::BasicBlock *const> Exiting = L.exitingBlocks();
   if (Exiting.empty())
     return TripCountInfo(); // No exit: unknown (runs forever or via return).
 

@@ -1,9 +1,9 @@
 //===- ssa/DeadCode.cpp - Dead code elimination -------------------------------===//
 
 #include "ssa/DeadCode.h"
+#include "support/Arena.h"
 #include "support/Stats.h"
 #include <cstdint>
-#include <vector>
 
 using namespace biv;
 
@@ -11,14 +11,17 @@ unsigned biv::ssa::removeDeadCode(ir::Function &F) {
   static const stats::Counter NumDceRemoved("ssa.dce_removed");
   // Liveness is a bitmap over Instruction::seq() (DESIGN.md §11).
   const unsigned NumInstrs = F.renumberInstructions();
-  std::vector<uint8_t> Live(NumInstrs, 0);
-  std::vector<const ir::Instruction *> Work;
+  support::ScratchScope Scratch;
+  support::Arena &S = Scratch.arena();
+  support::ArenaVector<uint8_t> Live;
+  Live.resize(S, NumInstrs, 0);
+  support::ArenaVector<const ir::Instruction *> Work;
   // Roots: side effects and terminators.
   for (const ir::BasicBlock *BB : F.blocks())
     for (const ir::Instruction *I : *BB)
       if (I->hasSideEffects() && !Live[I->seq()]) {
         Live[I->seq()] = 1;
-        Work.push_back(I);
+        Work.push_back(S, I);
       }
   // Transitive marking through operands.
   while (!Work.empty()) {
@@ -28,7 +31,7 @@ unsigned biv::ssa::removeDeadCode(ir::Function &F) {
       if (const auto *Def = ir::dyn_cast<ir::Instruction>(Op))
         if (!Live[Def->seq()]) {
           Live[Def->seq()] = 1;
-          Work.push_back(Def);
+          Work.push_back(S, Def);
         }
   }
   // Sweep: one stable compaction per block.

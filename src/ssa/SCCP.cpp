@@ -1,10 +1,11 @@
 //===- ssa/SCCP.cpp - Sparse conditional constant propagation ----------------===//
 
 #include "ssa/SCCP.h"
+#include "support/Arena.h"
 #include "support/Stats.h"
+#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 using namespace biv;
 using namespace biv::ssa;
@@ -75,10 +76,11 @@ std::optional<int64_t> foldBinary(ir::Opcode Op, int64_t L, int64_t R) {
 /// Dense-table SCCP (DESIGN.md §11): lattice state and the def->users lists
 /// are flat vectors over Instruction::seq(), executable edges are a two-bit
 /// mask per source block (a terminator has at most two successors), and
-/// block reachability is a byte per block id.  No pointer-keyed containers.
+/// block reachability is a byte per block id.  No pointer-keyed containers;
+/// every table is scratch and dies with the solver.
 class SCCPSolver {
 public:
-  explicit SCCPSolver(ir::Function &F) : F(F) {}
+  explicit SCCPSolver(ir::Function &F) : S(Scratch.arena()), F(F) {}
 
   SCCPResult run(bool SimplifyCFG);
 
@@ -100,7 +102,7 @@ private:
       return;
     Slot = LV;
     for (uint32_t U = UserStart[I->seq()]; U < UserStart[I->seq() + 1]; ++U)
-      InstWorklist.push_back(UserList[U]);
+      InstWorklist.push_back(S, UserList[U]);
   }
 
   /// Marks successor slot \p Slot of \p From's terminator executable.
@@ -112,11 +114,11 @@ private:
     ir::BasicBlock *To = From->terminator()->blocks()[Slot];
     if (!Reachable[To->id()]) {
       Reachable[To->id()] = 1;
-      BlockWorklist.push_back(To);
+      BlockWorklist.push_back(S, To);
     } else {
       // Re-evaluate the phis: a new incoming edge became live.
       for (ir::Instruction *Phi : To->phis())
-        InstWorklist.push_back(Phi);
+        InstWorklist.push_back(S, Phi);
     }
   }
 
@@ -136,17 +138,19 @@ private:
   void visit(ir::Instruction *I);
   void visitBlock(ir::BasicBlock *BB);
 
+  support::ScratchScope Scratch;
+  support::Arena &S;
   ir::Function &F;
   /// Lattice state per Instruction::seq().
-  std::vector<LatticeVal> State;
+  support::ArenaVector<LatticeVal> State;
   /// Instruction users of each instruction's value, CSR over seqs.
-  std::vector<uint32_t> UserStart;
-  std::vector<ir::Instruction *> UserList;
+  support::ArenaVector<uint32_t> UserStart;
+  support::ArenaVector<ir::Instruction *> UserList;
   /// Executable-successor bits per source block id (bit k = slot k).
-  std::vector<uint8_t> EdgeMask;
-  std::vector<uint8_t> Reachable;
-  std::vector<ir::BasicBlock *> BlockWorklist;
-  std::vector<ir::Instruction *> InstWorklist;
+  support::ArenaVector<uint8_t> EdgeMask;
+  support::ArenaVector<uint8_t> Reachable;
+  support::ArenaVector<ir::BasicBlock *> BlockWorklist;
+  support::ArenaVector<ir::Instruction *> InstWorklist;
 };
 
 void SCCPSolver::visit(ir::Instruction *I) {
@@ -236,29 +240,31 @@ SCCPResult SCCPSolver::run(bool SimplifyCFG) {
   // Downstream phases renumber for themselves, so renumbering here is safe
   // and guarantees seqs are dense even after SSA's deferred erasures.
   const unsigned NumInstrs = F.renumberInstructions();
-  State.assign(NumInstrs, LatticeVal::top());
+  State.resize(S, NumInstrs, LatticeVal::top());
 
   // Record users for sparse propagation: count per def, prefix-sum, fill.
-  UserStart.assign(NumInstrs + 1, 0);
+  UserStart.resize(S, NumInstrs + 1, 0);
   for (const ir::BasicBlock *BB : F.blocks())
     for (const ir::Instruction *I : *BB)
       for (const ir::Value *Op : I->operands())
         if (const auto *Def = ir::dyn_cast<ir::Instruction>(Op))
           ++UserStart[Def->seq() + 1];
-  for (unsigned S = 0; S < NumInstrs; ++S)
-    UserStart[S + 1] += UserStart[S];
-  UserList.resize(UserStart[NumInstrs]);
-  std::vector<uint32_t> Fill(UserStart.begin(), UserStart.end() - 1);
+  for (unsigned Seq = 0; Seq < NumInstrs; ++Seq)
+    UserStart[Seq + 1] += UserStart[Seq];
+  UserList.resize(S, UserStart[NumInstrs]);
+  support::ArenaVector<uint32_t> Fill;
+  Fill.resize(S, NumInstrs);
+  std::copy(UserStart.begin(), UserStart.end() - 1, Fill.begin());
   for (const ir::BasicBlock *BB : F.blocks())
     for (ir::Instruction *I : *BB)
       for (const ir::Value *Op : I->operands())
         if (const auto *Def = ir::dyn_cast<ir::Instruction>(Op))
           UserList[Fill[Def->seq()]++] = I;
 
-  EdgeMask.assign(F.numBlocks(), 0);
-  Reachable.assign(F.numBlocks(), 0);
+  EdgeMask.resize(S, F.numBlocks(), 0);
+  Reachable.resize(S, F.numBlocks(), 0);
   Reachable[F.entry()->id()] = 1;
-  BlockWorklist.push_back(F.entry());
+  BlockWorklist.push_back(S, F.entry());
   while (!BlockWorklist.empty() || !InstWorklist.empty()) {
     while (!InstWorklist.empty()) {
       ir::Instruction *I = InstWorklist.back();
@@ -274,7 +280,7 @@ SCCPResult SCCPSolver::run(bool SimplifyCFG) {
 
   SCCPResult Result;
   // Replace constant instructions.
-  std::vector<ir::Instruction *> Dead;
+  support::ArenaVector<ir::Instruction *> Dead;
   for (ir::BasicBlock *BB : F.blocks()) {
     if (!Reachable[BB->id()])
       continue;
@@ -285,7 +291,7 @@ SCCPResult SCCPSolver::run(bool SimplifyCFG) {
       if (!V.isConst())
         continue;
       F.replaceAllUsesWith(I, F.constant(V.Val));
-      Dead.push_back(I);
+      Dead.push_back(S, I);
       ++Result.FoldedInstructions;
     }
   }

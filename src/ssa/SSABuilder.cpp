@@ -1,10 +1,10 @@
 //===- ssa/SSABuilder.cpp - SSA construction ---------------------------------===//
 
 #include "ssa/SSABuilder.h"
+#include "support/Arena.h"
 #include "support/Stats.h"
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 using namespace biv;
 using namespace biv::ssa;
@@ -23,7 +23,7 @@ namespace {
 class Builder {
 public:
   Builder(ir::Function &F, const analysis::DominatorTree &DT)
-      : F(F), DT(DT), DF(DT) {}
+      : S(Scratch.arena()), F(F), DT(DT), DF(DT) {}
 
   SSAInfo run();
 
@@ -49,6 +49,9 @@ private:
     return V;
   }
 
+  /// Every table below is scratch: it dies with the builder.
+  support::ScratchScope Scratch;
+  support::Arena &S;
   ir::Function &F;
   const analysis::DominatorTree &DT;
   analysis::DominanceFrontier DF;
@@ -57,22 +60,26 @@ private:
   /// Reaching-definition stacks for every var share one pool: StackVal[E]
   /// is a definition, StackPrev[E] the previous definition of the same var,
   /// Head[var id] the top of that var's stack.  One growing pool instead of
-  /// a heap vector per variable.
+  /// a vector per variable.
   static constexpr uint32_t NoDef = ~uint32_t(0);
-  std::vector<ir::Value *> StackVal;
-  std::vector<uint32_t> StackPrev;
-  std::vector<uint32_t> Head;
+  support::ArenaVector<ir::Value *> StackVal;
+  support::ArenaVector<uint32_t> StackPrev;
+  support::ArenaVector<uint32_t> Head;
   /// LoadVar replacement, indexed by Instruction::seq() (renumbered after
   /// phi placement; erasure is deferred so seqs stay dense during rename).
-  std::vector<ir::Value *> RepBySeq;
+  support::ArenaVector<ir::Value *> RepBySeq;
   /// Undo log for the rename walk: (var id, head entry to restore).  Each
   /// frame saves a var at most once, tracked by SavedFrame stamps -- a stale
   /// stamp only costs a redundant (still correct) undo entry.
-  std::vector<std::pair<uint32_t, uint32_t>> Undo;
-  std::vector<unsigned> SavedFrame;
+  struct UndoEntry {
+    uint32_t VarId;
+    uint32_t OldHead;
+  };
+  support::ArenaVector<UndoEntry> Undo;
+  support::ArenaVector<unsigned> SavedFrame;
   unsigned FrameCounter = 0;
 
-  std::vector<ir::Instruction *> ToErase;
+  support::ArenaVector<ir::Instruction *> ToErase;
 };
 
 SSAInfo Builder::run() {
@@ -80,15 +87,16 @@ SSAInfo Builder::run() {
   // Give the phis seqs too; RepBySeq and the SCCP tables index off this
   // numbering until the pipeline renumbers again after erasure.
   F.renumberInstructions();
-  RepBySeq.assign(F.instrSeqBound(), nullptr);
-  Head.assign(F.vars().size(), NoDef);
-  SavedFrame.assign(F.vars().size(), 0);
+  RepBySeq.resize(S, F.instrSeqBound(), nullptr);
+  Head.resize(S, F.vars().size(), NoDef);
+  SavedFrame.resize(S, F.vars().size(), 0);
   rename(F.entry());
   // Delete the now-dead variable accesses in one compaction per block (the
   // loads and stores of a big block all die at once; per-instruction erase
   // would shift the tail per call).
   if (!ToErase.empty()) {
-    std::vector<uint8_t> DeadBySeq(F.instrSeqBound(), 0);
+    support::ArenaVector<uint8_t> DeadBySeq;
+    DeadBySeq.resize(S, F.instrSeqBound(), 0);
     for (ir::Instruction *I : ToErase)
       DeadBySeq[I->seq()] = 1;
     for (ir::BasicBlock *BB : F.blocks())
@@ -107,8 +115,9 @@ void Builder::placePhis() {
   // Store sites per var in CSR form: for each var, the distinct blocks
   // containing a StoreVar of it, in block order.  One pass to count, one to
   // fill; consecutive stores to the same var in one block dedupe via Last.
-  std::vector<uint32_t> Start(NumVars + 1, 0);
-  std::vector<uint32_t> Last(NumVars, ~uint32_t(0));
+  support::ArenaVector<uint32_t> Start, Last;
+  Start.resize(S, NumVars + 1, 0);
+  Last.resize(S, NumVars, ~uint32_t(0));
   for (const ir::BasicBlock *BB : F.blocks())
     for (const ir::Instruction *I : *BB)
       if (I->opcode() == ir::Opcode::StoreVar &&
@@ -118,9 +127,12 @@ void Builder::placePhis() {
       }
   for (size_t V = 0; V < NumVars; ++V)
     Start[V + 1] += Start[V];
-  std::vector<ir::BasicBlock *> StoreBlocks(Start[NumVars]);
-  std::vector<uint32_t> Fill(Start.begin(), Start.end() - 1);
-  Last.assign(NumVars, ~uint32_t(0));
+  support::ArenaVector<ir::BasicBlock *> StoreBlocks;
+  StoreBlocks.resize(S, Start[NumVars]);
+  support::ArenaVector<uint32_t> Fill;
+  Fill.resize(S, NumVars);
+  std::copy(Start.begin(), Start.end() - 1, Fill.begin());
+  std::fill(Last.begin(), Last.end(), ~uint32_t(0));
   for (ir::BasicBlock *BB : F.blocks())
     for (const ir::Instruction *I : *BB)
       if (I->opcode() == ir::Opcode::StoreVar &&
@@ -131,21 +143,24 @@ void Builder::placePhis() {
 
   // Iterated dominance frontier per variable, seeded by its store blocks.
   // HasStore/HasPhi are epoch stamps (one epoch per var) over block ids.
-  std::vector<uint32_t> StoreStamp(NumBlocks, 0), PhiStamp(NumBlocks, 0);
+  support::ArenaVector<uint32_t> StoreStamp, PhiStamp;
+  StoreStamp.resize(S, NumBlocks, 0);
+  PhiStamp.resize(S, NumBlocks, 0);
   // Insertion index for the next phi per block: phis() rescans the block
   // top on every call, which is quadratic when one header collects a phi
   // per variable, so the count is tracked here instead.
-  std::vector<uint32_t> NumPhis(NumBlocks, 0);
+  support::ArenaVector<uint32_t> NumPhis;
+  NumPhis.resize(S, NumBlocks, 0);
   for (ir::BasicBlock *BB : F.blocks())
     NumPhis[BB->id()] = uint32_t(BB->phis().size());
-  std::vector<ir::BasicBlock *> Work;
+  support::ArenaVector<ir::BasicBlock *> Work;
   for (size_t VI = 0; VI < NumVars; ++VI) {
     ir::Var *V = F.vars()[VI];
     const uint32_t Epoch = uint32_t(VI) + 1;
     Work.clear();
-    for (uint32_t S = Start[VI]; S < Start[VI + 1]; ++S) {
-      StoreStamp[StoreBlocks[S]->id()] = Epoch;
-      Work.push_back(StoreBlocks[S]);
+    for (uint32_t At = Start[VI]; At < Start[VI + 1]; ++At) {
+      StoreStamp[StoreBlocks[At]->id()] = Epoch;
+      Work.push_back(S, StoreBlocks[At]);
     }
     while (!Work.empty()) {
       ir::BasicBlock *BB = Work.back();
@@ -162,7 +177,7 @@ void Builder::placePhis() {
         // A phi is itself a definition; keep iterating.
         if (StoreStamp[Frontier->id()] != Epoch) {
           StoreStamp[Frontier->id()] = Epoch;
-          Work.push_back(Frontier);
+          Work.push_back(S, Frontier);
         }
       }
     }
@@ -176,10 +191,10 @@ void Builder::rename(ir::BasicBlock *BB) {
   auto pushDef = [&](const ir::Var *V, ir::Value *Def) {
     if (SavedFrame[V->id()] != Frame) {
       SavedFrame[V->id()] = Frame;
-      Undo.emplace_back(V->id(), Head[V->id()]);
+      Undo.push_back(S, {V->id(), Head[V->id()]});
     }
-    StackVal.push_back(Def);
-    StackPrev.push_back(Head[V->id()]);
+    StackVal.push_back(S, Def);
+    StackPrev.push_back(S, Head[V->id()]);
     Head[V->id()] = uint32_t(StackVal.size() - 1);
   };
 
@@ -197,11 +212,11 @@ void Builder::rename(ir::BasicBlock *BB) {
       break;
     case ir::Opcode::LoadVar:
       RepBySeq[I->seq()] = currentDef(I->variable());
-      ToErase.push_back(I);
+      ToErase.push_back(S, I);
       break;
     case ir::Opcode::StoreVar:
       pushDef(I->variable(), I->operand(0));
-      ToErase.push_back(I);
+      ToErase.push_back(S, I);
       break;
     default:
       break;

@@ -2,54 +2,68 @@
 
 #include "support/Affine.h"
 #include <algorithm>
+#include <functional>
+#include <vector>
 
 using namespace biv;
 
 Affine Affine::symbol(SymbolRef Sym) {
   Affine A;
-  A.Terms[Sym] = Rational(1);
+  A.Terms.push_back({Sym, Rational(1)});
   return A;
 }
 
 Rational Affine::coefficientOf(SymbolRef Sym) const {
-  auto It = Terms.find(Sym);
-  return It == Terms.end() ? Rational() : It->second;
+  for (const Term &T : Terms)
+    if (T.Sym == Sym)
+      return T.Coeff;
+  return Rational();
 }
 
 Affine Affine::operator-() const {
   Affine Result;
   Result.Constant = -Constant;
-  for (const auto &[Sym, Coeff] : Terms)
-    Result.Terms[Sym] = -Coeff;
+  Result.Terms.reserve(Terms.size());
+  for (const Term &T : Terms)
+    Result.Terms.push_back({T.Sym, -T.Coeff});
+  return Result;
+}
+
+template <typename CombineFn>
+Affine Affine::merged(const Affine &RHS, Rational NewConstant,
+                      CombineFn Combine) const {
+  Affine Result;
+  Result.Constant = NewConstant;
+  Result.Terms.reserve(Terms.size() + RHS.Terms.size());
+  const Term *L = Terms.begin(), *LE = Terms.end();
+  const Term *R = RHS.Terms.begin(), *RE = RHS.Terms.end();
+  std::less<SymbolRef> Before;
+  while (L != LE || R != RE) {
+    if (R == RE || (L != LE && Before(L->Sym, R->Sym))) {
+      Result.Terms.push_back(*L++);
+      continue;
+    }
+    const bool Both = L != LE && L->Sym == R->Sym;
+    Rational C = Combine(Both ? L->Coeff : Rational(), R->Coeff);
+    if (!C.isZero())
+      Result.Terms.push_back({R->Sym, C});
+    if (Both)
+      ++L;
+    ++R;
+  }
   return Result;
 }
 
 Affine Affine::operator+(const Affine &RHS) const {
-  Affine Result = *this;
-  Result.Constant += RHS.Constant;
-  for (const auto &[Sym, Coeff] : RHS.Terms) {
-    Rational Sum = Result.coefficientOf(Sym) + Coeff;
-    if (Sum.isZero())
-      Result.Terms.erase(Sym);
-    else
-      Result.Terms[Sym] = Sum;
-  }
-  return Result;
+  return merged(RHS, Constant + RHS.Constant,
+                [](const Rational &A, const Rational &B) { return A + B; });
 }
 
 Affine Affine::operator-(const Affine &RHS) const {
   // Coefficient-wise binary subtraction; *this + (-RHS) would overflow on
   // any RHS coefficient of INT64_MIN even when the difference fits.
-  Affine Result = *this;
-  Result.Constant = Result.Constant - RHS.Constant;
-  for (const auto &[Sym, Coeff] : RHS.Terms) {
-    Rational Diff = Result.coefficientOf(Sym) - Coeff;
-    if (Diff.isZero())
-      Result.Terms.erase(Sym);
-    else
-      Result.Terms[Sym] = Diff;
-  }
-  return Result;
+  return merged(RHS, Constant - RHS.Constant,
+                [](const Rational &A, const Rational &B) { return A - B; });
 }
 
 Affine Affine::operator*(const Rational &Scale) const {
@@ -57,8 +71,9 @@ Affine Affine::operator*(const Rational &Scale) const {
   if (Scale.isZero())
     return Result;
   Result.Constant = Constant * Scale;
-  for (const auto &[Sym, Coeff] : Terms)
-    Result.Terms[Sym] = Coeff * Scale;
+  Result.Terms.reserve(Terms.size());
+  for (const Term &T : Terms)
+    Result.Terms.push_back({T.Sym, T.Coeff * Scale});
   return Result;
 }
 
@@ -106,7 +121,7 @@ void Affine::appendTo(std::string &Out, const SymbolNamer &Namer) const {
     Out += Name;
   };
   if (Terms.size() == 1) {
-    addTerm(nameOf(Terms.begin()->first), Terms.begin()->second, Leading);
+    addTerm(nameOf(Terms.front().Sym), Terms.front().Coeff, Leading);
     return;
   }
   // Render terms in (name, coefficient) order: Terms is keyed by symbol
@@ -114,8 +129,8 @@ void Affine::appendTo(std::string &Out, const SymbolNamer &Namer) const {
   // byte-compared across batch worker counts and across runs).
   std::vector<std::pair<std::string, Rational>> Ordered;
   Ordered.reserve(Terms.size());
-  for (const auto &[Sym, Coeff] : Terms)
-    Ordered.emplace_back(nameOf(Sym), Coeff);
+  for (const Term &T : Terms)
+    Ordered.emplace_back(nameOf(T.Sym), T.Coeff);
   std::sort(Ordered.begin(), Ordered.end(),
             [](const auto &A, const auto &B) {
               if (A.first != B.first)

@@ -13,7 +13,9 @@
 /// symbolically if [they] cannot be determined" (section 2).  An Affine keeps
 /// exactly that: a rational constant plus a rational-weighted combination of
 /// loop-invariant symbols.  Symbols are opaque pointers (the IV analysis uses
-/// IR values); printing takes a name-resolver callback.
+/// IR values); printing takes a name-resolver callback.  The terms are a
+/// small inline list sorted by symbol, so the common invariant with one
+/// symbol is copied without touching the heap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +23,10 @@
 #define BEYONDIV_SUPPORT_AFFINE_H
 
 #include "support/Rational.h"
+#include "support/SmallVector.h"
 #include <functional>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 
 namespace biv {
@@ -40,6 +43,16 @@ using SymbolNamer = std::function<std::string(SymbolRef)>;
 /// compare equal structurally.
 class Affine {
 public:
+  /// One symbolic term: Coeff * Sym, with Coeff nonzero.
+  struct Term {
+    SymbolRef Sym;
+    Rational Coeff;
+
+    bool operator==(const Term &O) const {
+      return Sym == O.Sym && Coeff == O.Coeff;
+    }
+  };
+
   /// Constructs the constant zero.
   Affine() = default;
 
@@ -66,8 +79,8 @@ public:
   /// Returns the coefficient of \p Sym (zero when absent).
   Rational coefficientOf(SymbolRef Sym) const;
 
-  /// Returns the symbolic terms in deterministic (pointer-keyed map) order.
-  const std::map<SymbolRef, Rational> &terms() const { return Terms; }
+  /// Returns the symbolic terms in deterministic (symbol pointer) order.
+  std::span<const Term> terms() const { return {Terms.begin(), Terms.size()}; }
 
   Affine operator-() const;
   Affine operator+(const Affine &RHS) const;
@@ -99,8 +112,15 @@ public:
                 const SymbolNamer &Namer = SymbolNamer()) const;
 
 private:
+  /// Merges \p RHS 's terms into a copy of ours with \p Combine applied
+  /// per symbol (a missing side contributes zero); zero results drop out.
+  template <typename CombineFn>
+  Affine merged(const Affine &RHS, Rational NewConstant,
+                CombineFn Combine) const;
+
   Rational Constant;
-  std::map<SymbolRef, Rational> Terms;
+  /// Sorted by symbol pointer; no zero coefficients.
+  SmallVector<Term, 1> Terms;
 };
 
 } // namespace biv

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A chunked bump allocator and the arena-backed containers the AST/IR are
-/// built from (DESIGN.md §11).
+/// A chunked bump allocator and the arena-backed containers the AST/IR and
+/// the analyses are built from (DESIGN.md §11).
 ///
 /// An Arena hands out pointer-bumped storage from geometrically growing
 /// chunks and frees everything at once when destroyed (or on reset()).
@@ -18,11 +18,19 @@
 /// construction: their memory dies with the arena.
 ///
 /// The unit of ownership is one compilation unit: the parser owns an arena
-/// for the AST, ir::Function owns one for blocks/instructions/operand lists,
+/// for the AST, ir::Function owns one for blocks/instructions/operand lists
+/// and the analyses that live as long as the unit (dominator tree, loops),
 /// and the batch driver frees a whole unit by dropping the Function.  Raw
 /// pointers into an arena (Value*, Symbol string_views) are valid exactly as
 /// long as the owning arena; nothing may outlive it (the sanitizer fuzz run
 /// exercises this contract, see tools/run_fuzz.sh).
+///
+/// Transient analysis state comes from the calling thread's scratch arena
+/// instead (scratchArena(), ScratchScope): a scope marks the arena on entry
+/// and rewinds to the mark on exit, keeping the chunks for the next scope.
+/// Under AddressSanitizer every byte not currently handed out -- rewound
+/// scratch, spare chunks, the unused tail of a chunk -- is poisoned, so a
+/// pointer that outlives its scope faults at its first use.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,21 +46,49 @@
 #include <type_traits>
 #include <utility>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define BIV_ARENA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define BIV_ARENA_ASAN 1
+#endif
+#endif
+#ifdef BIV_ARENA_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace biv {
 namespace support {
 
 /// Chunked bump allocator.  Allocation is a pointer bump; deallocation is a
-/// no-op until the whole arena is reset or destroyed.
+/// no-op until the whole arena is reset, destroyed or rewound to a mark.
 class Arena {
+  struct ChunkHeader {
+    ChunkHeader *Next;
+    size_t Bytes;
+  };
+
 public:
   /// First chunk size; chunks double up to MaxChunkBytes.
   static constexpr size_t MinChunkBytes = size_t(1) << 12;
   static constexpr size_t MaxChunkBytes = size_t(1) << 20;
 
+  /// A position to rewind to: everything allocated after it is freed at
+  /// once by rewind().
+  class Mark {
+    friend class Arena;
+    ChunkHeader *Chunk = nullptr;
+    char *Cur = nullptr;
+    size_t Allocated = 0;
+  };
+
   Arena() = default;
   Arena(const Arena &) = delete;
   Arena &operator=(const Arena &) = delete;
-  ~Arena() { releaseChunks(Chunks); }
+  ~Arena() {
+    releaseChunks(Chunks);
+    releaseChunks(Spare);
+  }
 
   /// Bump-allocates \p Size bytes aligned to \p Align.
   void *allocate(size_t Size, size_t Align = alignof(std::max_align_t)) {
@@ -64,6 +100,7 @@ public:
     }
     Cur = reinterpret_cast<char *>(P + Size);
     Allocated += Size;
+    unpoison(reinterpret_cast<void *>(P), Size);
     return reinterpret_cast<void *>(P);
   }
 
@@ -89,11 +126,53 @@ public:
     return P;
   }
 
+  /// The current position, for a later rewind().
+  Mark mark() const {
+    Mark M;
+    M.Chunk = Chunks;
+    M.Cur = Cur;
+    M.Allocated = Allocated;
+    return M;
+  }
+
+  /// Frees everything allocated since \p M, which must be a mark of this
+  /// arena not already rewound past.  Chunks acquired since the mark stay
+  /// with the arena as spares that later growth reuses; trim() returns
+  /// them to the heap.
+  void rewind(const Mark &M) {
+    while (Chunks != M.Chunk) {
+      assert(Chunks && "mark is not from this arena");
+      ChunkHeader *H = Chunks;
+      Chunks = H->Next;
+      poison(payload(H), H->Bytes - sizeof(ChunkHeader));
+      H->Next = Spare;
+      Spare = H;
+    }
+    Cur = M.Cur;
+    End = Chunks ? reinterpret_cast<char *>(Chunks) + Chunks->Bytes : nullptr;
+    if (Cur)
+      poison(Cur, size_t(End - Cur));
+    Allocated = M.Allocated;
+  }
+
+  /// Returns spare chunks to the heap, earliest acquired (smallest) first,
+  /// until at most \p MaxBytes stay reserved.
+  void trim(size_t MaxBytes) {
+    while (Spare && Reserved > MaxBytes) {
+      ChunkHeader *H = Spare;
+      Spare = H->Next;
+      Reserved -= H->Bytes;
+      --NChunks;
+      freeChunk(H);
+    }
+  }
+
   /// Batch free: drops every chunk and rewinds the counters.  All pointers
   /// previously handed out become invalid.
   void reset() {
     releaseChunks(Chunks);
-    Chunks = nullptr;
+    releaseChunks(Spare);
+    Chunks = Spare = nullptr;
     Cur = End = nullptr;
     NChunks = 0;
     Reserved = 0;
@@ -103,46 +182,79 @@ public:
 
   /// Total bytes handed out to callers (not counting alignment padding).
   size_t bytesAllocated() const { return Allocated; }
-  /// Total bytes acquired from the heap for chunks.
+  /// Total bytes acquired from the heap for chunks, spares included.
   size_t bytesReserved() const { return Reserved; }
-  /// Number of chunks acquired from the heap.
+  /// Number of chunks acquired from the heap, spares included.
   size_t numChunks() const { return NChunks; }
 
 private:
-  struct ChunkHeader {
-    ChunkHeader *Next;
-    size_t Bytes;
-  };
+  static char *payload(ChunkHeader *H) {
+    return reinterpret_cast<char *>(H) + sizeof(ChunkHeader);
+  }
 
   void grow(size_t Need, size_t Align) {
     size_t Payload = Need + Align + sizeof(ChunkHeader);
+    // A spare chunk from an earlier rewind, first fit; spares sit in
+    // acquisition order, so the small early chunks are tried first.
+    for (ChunkHeader **Link = &Spare; *Link; Link = &(*Link)->Next)
+      if ((*Link)->Bytes >= Payload) {
+        ChunkHeader *H = *Link;
+        *Link = H->Next;
+        pushChunk(H);
+        return;
+      }
     size_t Bytes = NextChunkBytes;
     while (Bytes < Payload)
       Bytes *= 2;
     if (NextChunkBytes < MaxChunkBytes)
       NextChunkBytes *= 2;
-    char *Raw = static_cast<char *>(::operator new(Bytes));
-    auto *H = reinterpret_cast<ChunkHeader *>(Raw);
-    H->Next = Chunks;
+    auto *H = static_cast<ChunkHeader *>(::operator new(Bytes));
     H->Bytes = Bytes;
-    Chunks = H;
-    Cur = Raw + sizeof(ChunkHeader);
-    End = Raw + Bytes;
+    poison(payload(H), Bytes - sizeof(ChunkHeader));
     ++NChunks;
     Reserved += Bytes;
+    pushChunk(H);
+  }
+
+  void pushChunk(ChunkHeader *H) {
+    H->Next = Chunks;
+    Chunks = H;
+    Cur = payload(H);
+    End = reinterpret_cast<char *>(H) + H->Bytes;
+  }
+
+  static void freeChunk(ChunkHeader *H) {
+    unpoison(payload(H), H->Bytes - sizeof(ChunkHeader));
+    ::operator delete(static_cast<void *>(H));
   }
 
   static void releaseChunks(ChunkHeader *H) {
     while (H) {
       ChunkHeader *Next = H->Next;
-      ::operator delete(static_cast<void *>(H));
+      freeChunk(H);
       H = Next;
     }
   }
 
+  static void poison([[maybe_unused]] const void *P,
+                     [[maybe_unused]] size_t N) {
+#ifdef BIV_ARENA_ASAN
+    ASAN_POISON_MEMORY_REGION(P, N);
+#endif
+  }
+  static void unpoison([[maybe_unused]] const void *P,
+                       [[maybe_unused]] size_t N) {
+#ifdef BIV_ARENA_ASAN
+    ASAN_UNPOISON_MEMORY_REGION(P, N);
+#endif
+  }
+
   char *Cur = nullptr;
   char *End = nullptr;
+  /// Chunks in use, newest (the one Cur points into) first.
   ChunkHeader *Chunks = nullptr;
+  /// Chunks given back by rewind(), kept for reuse.
+  ChunkHeader *Spare = nullptr;
   size_t NChunks = 0;
   size_t Reserved = 0;
   size_t Allocated = 0;
@@ -165,6 +277,8 @@ public:
 
   T *begin() { return Data; }
   T *end() { return Data + Sz; }
+  T *data() { return Data; }
+  const T *data() const { return Data; }
   const T *begin() const { return Data; }
   const T *end() const { return Data + Sz; }
 
@@ -245,6 +359,40 @@ private:
   T *Data = nullptr;
   uint32_t Sz = 0;
   uint32_t Cap = 0;
+};
+
+/// Spare scratch bytes a thread keeps once its outermost ScratchScope
+/// closes; the rest goes back to the heap, so an idle batch or server
+/// thread holds at most this much scratch between units.
+inline constexpr size_t ScratchKeepBytes = size_t(1) << 18;
+
+/// The calling thread's scratch arena.  Allocate from it only inside a
+/// ScratchScope, and only state that dies before the scope closes.
+inline Arena &scratchArena() {
+  static thread_local Arena A;
+  return A;
+}
+
+/// Marks the thread's scratch arena on construction and rewinds it on
+/// destruction.  Scopes nest; an inner scope must close before its outer
+/// one, and nothing allocated inside a scope -- a container grown there
+/// included -- may be used after it closes.
+class ScratchScope {
+public:
+  ScratchScope() : A(scratchArena()), M(A.mark()) {}
+  ScratchScope(const ScratchScope &) = delete;
+  ScratchScope &operator=(const ScratchScope &) = delete;
+  ~ScratchScope() {
+    A.rewind(M);
+    if (A.bytesAllocated() == 0)
+      A.trim(ScratchKeepBytes);
+  }
+
+  Arena &arena() const { return A; }
+
+private:
+  Arena &A;
+  Arena::Mark M;
 };
 
 } // namespace support

@@ -60,14 +60,15 @@ std::optional<RatMatrix> RatMatrix::inverse() const {
   return Inv;
 }
 
-std::optional<std::vector<Affine>>
-RatMatrix::solveAffine(const std::vector<Affine> &B) const {
+std::optional<AffineList>
+RatMatrix::solveAffine(std::span<const Affine> B) const {
   assert(NumRows == NumCols && "solve requires a square system");
   assert(B.size() == NumRows && "right-hand side size mismatch");
   std::optional<RatMatrix> Inv = inverse();
   if (!Inv)
     return std::nullopt;
-  std::vector<Affine> X(NumRows);
+  AffineList X;
+  X.resize(NumRows);
   for (unsigned R = 0; R < NumRows; ++R)
     for (unsigned C = 0; C < NumCols; ++C) {
       const Rational &V = Inv->at(R, C);

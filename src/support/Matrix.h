@@ -22,17 +22,21 @@
 
 #include "support/Affine.h"
 #include "support/Rational.h"
+#include "support/SmallVector.h"
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace biv {
 
 /// A dense Rows x Cols matrix of rationals.
+/// A short list of affine values, inline up to the size of the common fits.
+using AffineList = SmallVector<Affine, 4>;
+
 class RatMatrix {
 public:
   RatMatrix(unsigned Rows, unsigned Cols)
-      : NumRows(Rows), NumCols(Cols), Data(Rows * Cols) {}
+      : NumRows(Rows), NumCols(Cols), Data(size_t(Rows) * Cols, Rational()) {}
 
   /// Builds the N x N identity.
   static RatMatrix identity(unsigned N);
@@ -58,8 +62,7 @@ public:
   /// elimination over the rationals; returns nullopt when A is singular.
   /// This is how the paper recovers (perhaps symbolic) closed-form
   /// coefficients from the first few values of a recurrence.
-  std::optional<std::vector<Affine>>
-  solveAffine(const std::vector<Affine> &B) const;
+  std::optional<AffineList> solveAffine(std::span<const Affine> B) const;
 
   /// Renders one row per line, entries separated by single spaces.
   std::string str() const;
@@ -71,7 +74,9 @@ public:
 
 private:
   unsigned NumRows, NumCols;
-  std::vector<Rational> Data;
+  /// Row-major; matrices up to 4x4 (the classifier's systems and most
+  /// recurrence fits) stay inline.
+  SmallVector<Rational, 16> Data;
 };
 
 } // namespace biv

@@ -3,6 +3,7 @@
 #include "TestUtil.h"
 #include "WorkloadGen.h"
 #include "ir/IRBuilder.h"
+#include <algorithm>
 #include <set>
 
 using namespace biv;
@@ -178,7 +179,7 @@ TEST(LoopInfoTest, WhileLoopShape) {
   DominatorTree DT(*F);
   LoopInfo LI(*F, DT);
   ASSERT_EQ(LI.loops().size(), 1u);
-  const Loop *L = LI.loops()[0].get();
+  const Loop *L = LI.loops()[0];
   EXPECT_EQ(L->name(), "W");
   EXPECT_NE(L->preheader(), nullptr);
   EXPECT_EQ(L->exitingBlocks().size(), 1u);
@@ -320,7 +321,7 @@ void expectMatchesBruteForce(const ir::Function &F, const DominatorTree &DT,
     return Brute[L->index()];
   };
   for (size_t I = 0; I < Brute.size(); ++I) {
-    const Loop *L = LI.loops()[I].get();
+    const Loop *L = LI.loops()[I];
     ASSERT_EQ(L->index(), I);
     ASSERT_EQ(L->header(), Brute[I].Header);
     const std::set<unsigned> &Body = Brute[I].Body;
@@ -342,28 +343,28 @@ void expectMatchesBruteForce(const ir::Function &F, const DominatorTree &DT,
     const Loop *Parent = nullptr;
     unsigned Depth = 1;
     for (const auto &O : LI.loops()) {
-      if (O.get() == L || !bruteOf(O.get()).Body.count(L->header()->id()))
+      if (O == L || !bruteOf(O).Body.count(L->header()->id()))
         continue;
       ++Depth;
-      if (!Parent || bruteOf(O.get()).Body.size() < bruteOf(Parent).Body.size())
-        Parent = O.get();
+      if (!Parent || bruteOf(O).Body.size() < bruteOf(Parent).Body.size())
+        Parent = O;
     }
     EXPECT_EQ(L->parent(), Parent) << L->name();
     EXPECT_EQ(L->depth(), Depth) << L->name();
     for (const auto &O : LI.loops()) {
-      bool Inside = O.get() == L;
+      bool Inside = O == L;
       for (const Loop *P = O->parent(); P && !Inside; P = P->parent())
         Inside = P == L;
-      EXPECT_EQ(L->encloses(O.get()), Inside) << L->name() << " / " << O->name();
+      EXPECT_EQ(L->encloses(O), Inside) << L->name() << " / " << O->name();
     }
   }
   for (const ir::BasicBlock *BB : F.blocks()) {
     const Loop *Innermost = nullptr;
     for (const auto &O : LI.loops())
-      if (bruteOf(O.get()).Body.count(BB->id()) &&
+      if (bruteOf(O).Body.count(BB->id()) &&
           (!Innermost ||
-           bruteOf(O.get()).Body.size() < bruteOf(Innermost).Body.size()))
-        Innermost = O.get();
+           bruteOf(O).Body.size() < bruteOf(Innermost).Body.size()))
+        Innermost = O;
     EXPECT_EQ(LI.loopFor(BB), Innermost) << BB->name();
   }
   std::vector<Loop *> Order = LI.innerToOuter();
@@ -372,7 +373,7 @@ void expectMatchesBruteForce(const ir::Function &F, const DominatorTree &DT,
     EXPECT_EQ(Order[I]->header(), Brute[Brute.size() - 1 - I].Header);
 }
 
-std::vector<std::string> names(const std::vector<ir::BasicBlock *> &Blocks) {
+std::vector<std::string> names(std::span<ir::BasicBlock *const> Blocks) {
   std::vector<std::string> Out;
   for (const ir::BasicBlock *BB : Blocks)
     Out.push_back(std::string(BB->name()));
@@ -439,8 +440,8 @@ TEST(LoopInfoTest, SiblingLoopsMatchBruteForce) {
   EXPECT_FALSE(L2->contains(L3->header()));
   EXPECT_FALSE(L3->contains(L2->header()));
   EXPECT_FALSE(L1->contains(L4->header()));
-  EXPECT_EQ(L1->subLoops(), (std::vector<Loop *>{L2, L3}));
-  EXPECT_EQ(LI.topLevel(), (std::vector<Loop *>{L1, L4}));
+  EXPECT_TRUE(std::ranges::equal(L1->subLoops(), std::vector<Loop *>{L2, L3}));
+  EXPECT_TRUE(std::ranges::equal(LI.topLevel(), std::vector<Loop *>{L1, L4}));
   // Headers in RPO are L1, L4, L2, L3 (the CFG walk leaves L1 by its exit
   // edge first); reversed, every child still precedes its parent.
   EXPECT_EQ(LI.innerToOuter(), (std::vector<Loop *>{L3, L2, L4, L1}));

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace biv;
@@ -105,6 +106,72 @@ TEST(ArenaTest, ArenaVectorGrowthKeepsContents) {
   V.erase(0);
   EXPECT_EQ(V.front(), 0u);
   EXPECT_EQ(V.size(), 1000u);
+}
+
+TEST(ArenaTest, RewindFreesSinceTheMarkAndKeepsChunksForReuse) {
+  Arena A;
+  int *Before = A.create<int>(1);
+  const Arena::Mark M = A.mark();
+  const size_t AllocatedAtMark = A.bytesAllocated();
+  // Spill over several chunks past the mark.
+  for (int I = 0; I < 64; ++I)
+    A.allocate(1024, 8);
+  const size_t Chunks = A.numChunks();
+  const size_t Reserved = A.bytesReserved();
+  ASSERT_GT(Chunks, 1u);
+
+  A.rewind(M);
+  EXPECT_EQ(A.bytesAllocated(), AllocatedAtMark);
+  EXPECT_EQ(*Before, 1) << "rewind freed memory from before the mark";
+  // The chunks stay as spares: the same demand again takes no new chunk.
+  EXPECT_EQ(A.numChunks(), Chunks);
+  for (int I = 0; I < 64; ++I)
+    A.allocate(1024, 8);
+  EXPECT_EQ(A.numChunks(), Chunks);
+  EXPECT_EQ(A.bytesReserved(), Reserved);
+
+  // Rewinding to a mark taken on an empty arena frees everything; trim()
+  // then hands spares back to the heap down to the cap.
+  Arena B;
+  const Arena::Mark Empty = B.mark();
+  for (int I = 0; I < 64; ++I)
+    B.allocate(4096, 8);
+  B.rewind(Empty);
+  EXPECT_EQ(B.bytesAllocated(), 0u);
+  const size_t Cap = Arena::MinChunkBytes * 4;
+  B.trim(Cap);
+  EXPECT_LE(B.bytesReserved(), Cap);
+  B.trim(0);
+  EXPECT_EQ(B.bytesReserved(), 0u);
+  EXPECT_EQ(B.numChunks(), 0u);
+  // Still usable after giving everything back.
+  EXPECT_EQ(*B.create<int>(7), 7);
+}
+
+TEST(ArenaTest, ScratchScopesNestAndCapWhatAThreadKeeps) {
+  // A fresh thread starts with an empty scratch arena of its own.
+  std::thread T([] {
+    support::Arena &S = support::scratchArena();
+    EXPECT_EQ(S.bytesReserved(), 0u);
+    {
+      support::ScratchScope Outer;
+      ArenaVector<uint32_t> Kept;
+      Kept.resize(Outer.arena(), 100, 5u);
+      {
+        support::ScratchScope Inner;
+        // Far more than the thread may keep once the scopes close.
+        for (int I = 0; I < 64; ++I)
+          Inner.arena().allocate(64 * 1024, 8);
+      }
+      // The inner rewind left the outer scope's data alone.
+      for (uint32_t V : Kept)
+        EXPECT_EQ(V, 5u);
+      EXPECT_GT(S.bytesAllocated(), 0u);
+    }
+    EXPECT_EQ(S.bytesAllocated(), 0u);
+    EXPECT_LE(S.bytesReserved(), support::ScratchKeepBytes);
+  });
+  T.join();
 }
 
 //===----------------------------------------------------------------------===//

@@ -370,14 +370,14 @@ TEST(FuzzMinimizerTest, MultiBranchReproSurvivesMinimization) {
       const analysis::Loop *L = nullptr;
       for (const auto &Lp : A.LI->loops())
         if (!Lp->parent())
-          L = Lp.get();
+          L = Lp;
       if (!L)
         return false;
       for (ir::Instruction *Phi : L->header()->phis()) {
         const ivclass::Classification &C = A.IA->classify(Phi, L);
         const ivclass::Classification *W = &C;
         while (W->isWrapAround() && W->Inner)
-          W = W->Inner.get();
+          W = W->Inner;
         // The repro's claim is about the accumulator: a period-2 tuple
         // whose phase forms actually grow with the cycle index.  (The
         // bare flip-flop flag also summarizes at period 2, but with

@@ -113,6 +113,16 @@ TEST(InterpTest, SeededArrays) {
   EXPECT_EQ(T.ReturnValue, 99);
 }
 
+TEST(InterpTest, SeedingAnArrayTheFunctionNeverNamesIsIgnored) {
+  // The fuzz oracle seeds A into every program, including ones that never
+  // touch A; the seed must be skipped, not trip an assertion.
+  auto F = build("func f(n) { B[1] = n; return B[1] + 1; }");
+  ExecutionTrace T =
+      runWithArrays(*F, {4}, {{"A", {{{1}, 7}}}, {"B", {{{2}, 9}}}});
+  ASSERT_TRUE(T.ok());
+  EXPECT_EQ(T.ReturnValue, 5);
+}
+
 TEST(InterpTest, StepLimitStopsInfiniteLoop) {
   auto F = build("func f() {"
                  "  x = 0;"

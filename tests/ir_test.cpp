@@ -82,7 +82,8 @@ TEST(IRTest, CFGEdges) {
 
 TEST(IRTest, ReversePostOrder) {
   Diamond D;
-  std::vector<BasicBlock *> RPO = D.F.reversePostOrder();
+  biv::support::Arena A;
+  std::span<BasicBlock *const> RPO = D.F.reachableRPO(A);
   ASSERT_EQ(RPO.size(), 4u);
   EXPECT_EQ(RPO.front(), D.Entry);
   EXPECT_EQ(RPO.back(), D.Join);

@@ -8,6 +8,7 @@
 #include "TestUtil.h"
 #include "WorkloadGen.h"
 #include "frontend/Parser.h"
+#include "ivclass/Report.h"
 #include "support/Stats.h"
 
 using namespace biv;
@@ -78,7 +79,7 @@ TEST(PipelineTest, ForLoopShape) {
   analysis::DominatorTree DT(*F);
   analysis::LoopInfo LI(*F, DT);
   ASSERT_EQ(LI.loops().size(), 1u);
-  const analysis::Loop *L = LI.loops()[0].get();
+  const analysis::Loop *L = LI.loops()[0];
   EXPECT_EQ(L->name(), "L1");
   EXPECT_NE(L->preheader(), nullptr);
   EXPECT_EQ(L->latches().size(), 1u);
@@ -141,6 +142,31 @@ TEST(PipelineTest, SCCPPrunesDeadBranch) {
   EXPECT_GT(R.RemovedBlocks, 0u);
   EXPECT_LT(F->numBlocks(), Before);
   ssa::verifySSAOrDie(*F);
+}
+
+TEST(PipelineTest, DefaultReportPinsConstantPropagation) {
+  // d folds to 6 only when constant propagation runs before the classifier;
+  // without it k's initial value and step stay opaque.  Every program in
+  // tests/corpus and samples reports the same either way, so this golden is
+  // what notices the default pipeline skipping SCCP.
+  const char *Src = "func f(n) {"
+                    "  c = 2;"
+                    "  d = c * 3;"
+                    "  k = d;"
+                    "  for L: i = 1 to n { k = k + d; }"
+                    "  return k;"
+                    "}";
+  const std::string Want =
+      "loop L (depth 1): trip count n (if positive, else 0)\n"
+      "  i: (L, 1, 1)\n"
+      "  k: (L, 6, 6)\n";
+  ivclass::AnalyzedProgram P = ivclass::analyzeSourceOrDie(Src);
+  EXPECT_EQ(ivclass::report(*P.IA, &P.Info), Want);
+
+  ivclass::PipelineOptions NoSCCP;
+  NoSCCP.RunSCCP = false;
+  ivclass::AnalyzedProgram Q = ivclass::analyzeSourceOrDie(Src, NoSCCP);
+  EXPECT_NE(ivclass::report(*Q.IA, &Q.Info), Want);
 }
 
 TEST(PipelineTest, ParserReportsErrors) {

@@ -168,7 +168,7 @@ TEST(PropertyTest, RandomProgramsSatisfyAllOracles) {
 
     for (const auto &L : A.LI->loops()) {
       // O4: numeric trip counts vs observed header visits.
-      const ivclass::TripCountInfo &TC = A.IA->tripCount(L.get());
+      const ivclass::TripCountInfo &TC = A.IA->tripCount(L);
       ir::Instruction *AnyHeaderPhi =
           L->header()->phis().empty() ? nullptr : L->header()->phis()[0];
       if (TC.isCountable() && !TC.Guarded && AnyHeaderPhi &&
@@ -186,7 +186,7 @@ TEST(PropertyTest, RandomProgramsSatisfyAllOracles) {
       if (L->depth() != 1)
         continue;
       for (ir::Instruction *Phi : L->header()->phis()) {
-        const ivclass::Classification &C = A.IA->classify(Phi, L.get());
+        const ivclass::Classification &C = A.IA->classify(Phi, L);
         const std::vector<int64_t> &Seq = Post.sequenceOf(Phi);
         if (Seq.size() < 2)
           continue;

@@ -45,7 +45,7 @@ void expectPhasePeriodicTrace(const Classification &C,
   uint64_t Order = 0;
   while (W->isWrapAround() && W->Inner) {
     Order += W->WrapOrder;
-    W = W->Inner.get();
+    W = W->Inner;
   }
   ASSERT_TRUE(W->isPhasePeriodic());
   ASSERT_GE(W->Period, 2u);

@@ -707,9 +707,9 @@ int main(int Argc, char **Argv) {
     std::printf("%s", ivclass::report(IA, &P.Info, AO.Report).c_str());
 
   if (O.TripCounts)
-    for (const auto &L : P.LI->loops())
-      std::printf("trip count of %s: %s\n", L->name().c_str(),
-                  IA.tripCount(L.get()).str(IA.namer()).c_str());
+    for (const analysis::Loop *L : P.LI->loops())
+      std::printf("trip count of %.*s: %s\n", int(L->name().size()),
+                  L->name().data(), IA.tripCount(L).str(IA.namer()).c_str());
 
   if (O.Deps) {
     dependence::DependenceAnalyzer DA(IA);

@@ -18,8 +18,14 @@ SEED="${2:-1}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build-fuzz-san"
 
+# RelWithDebInfo's optimization without its -DNDEBUG: asserts stay on, so a
+# broken arena or scratch invariant (a rewind past a live mark, a nested
+# wrap-around) fails loudly here.  The arenas poison rewound scratch and
+# spare chunks under ASan (support/Arena.h), so a pointer that outlives its
+# scope faults at its first use.
 cmake -S "$ROOT" -B "$BUILD" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DBIV_SANITIZE="address;undefined" >/dev/null
 cmake --build "$BUILD" --target bivc -j "$(nproc)" >/dev/null
 
@@ -70,11 +76,12 @@ cmake --build "$BUILD" --target arena_test -j "$(nproc)" >/dev/null
 echo "fuzz: arena/interner unit tests clean under ASan/UBSan"
 
 # Classifier and loop-nest slice: the per-loop classification tables keep
-# raw pointers into each table's fixed-size chunks, closed forms keep small
-# coefficient lists inline, the SSA graphs share one seq-indexed scratch
-# that every loop resets on the way out (DESIGN.md §6), LoopInfo and the
-# dominator tree answer queries from pre-order intervals, and Rational's
-# int64 fast paths lean on the overflow builtins.  The classifier,
+# raw pointers into the function's arena, closed forms and affine terms
+# keep small coefficient lists inline, the SSA graphs and every loop's
+# classifier state live in scratch rewound after the loop (DESIGN.md §6,
+# §11), LoopInfo and the dominator tree live in the function's arena and
+# answer queries from pre-order intervals, and Rational's int64 fast paths
+# lean on the overflow builtins.  The classifier,
 # nested-loop, loop-info, arithmetic and closed-form suites run in the
 # instrumented tree so a stale pointer, a missed reset, an out-of-range
 # block id or a signed overflow dies here under ASan/UBSan (cfinite_test
