@@ -26,6 +26,9 @@ std::string Mismatch::str() const {
 
 namespace {
 
+/// Step budget per execution.
+constexpr uint64_t ExecStepBudget = 4u << 20;
+
 /// Renders the first elements of an observed sequence.
 std::string renderSeq(const std::vector<int64_t> &Seq, size_t Limit = 12) {
   std::ostringstream OS;
@@ -163,7 +166,7 @@ OracleResult OracleRun::run() {
   }
 
   interp::ExecOptions EO;
-  EO.MaxSteps = Opts.MaxSteps;
+  EO.MaxSteps = ExecStepBudget;
   interp::ExecutionTrace Ref = interp::runWithArrays(*FRef, Args, Arrays, EO);
   if (!Ref.ok()) {
     mismatch("execution", "", "",
@@ -206,8 +209,7 @@ OracleResult OracleRun::run() {
       checkMemberClaims(IA, *P->DT, L, Post, Env);
       checkTripCount(IA, L, Post, Env);
     }
-    if (Opts.CheckBaseline)
-      checkBaseline(IA, L);
+    checkBaseline(IA, L);
   }
   return std::move(Result);
 }
@@ -257,7 +259,7 @@ void OracleRun::checkLoopClaims(ivclass::InductionAnalysis &IA,
     // unfalsifiable by this execution, so skip (see ClaimValueBound).
     bool Wrapped = false;
     for (int64_t V : Seq)
-      if (V > Opts.ClaimValueBound || V < -Opts.ClaimValueBound) {
+      if (V > ClaimValueBound || V < -ClaimValueBound) {
         Wrapped = true;
         break;
       }
@@ -352,7 +354,7 @@ void OracleRun::checkMemberClaims(ivclass::InductionAnalysis &IA,
       // Same int64-wrap guard as the header-phi claims.
       bool Wrapped = false;
       for (int64_t V : Seq)
-        if (V > Opts.ClaimValueBound || V < -Opts.ClaimValueBound) {
+        if (V > ClaimValueBound || V < -ClaimValueBound) {
           Wrapped = true;
           break;
         }

@@ -48,30 +48,26 @@
 namespace biv {
 namespace fuzz {
 
+/// Per-value claims (closed form, wrap-around, periodic, monotonic) are
+/// statements over mathematical integers, while execution wraps in
+/// two's-complement int64.  When an observed sequence leaves this magnitude
+/// bound the two semantics may legitimately diverge (e.g. a geometric update
+/// doubling past 2^63), so those claims are skipped -- without counting
+/// toward CheckCounts.  Structural checks (behavior, trip count, baseline)
+/// stay unguarded.
+inline constexpr int64_t ClaimValueBound = int64_t(1) << 31;
+
 /// Switches for one oracle run.
 struct OracleOptions {
   /// Argument values for the executions (programs take one parameter `n`;
   /// extra values are ignored by functions with fewer parameters).
   std::vector<int64_t> Args = {6};
-  /// Step budget per execution.
-  uint64_t MaxSteps = 4u << 20;
   /// Seed array A's cells [-32, 64] with mixed-sign values derived from
   /// this seed so data-dependent branches take both sides.
   uint64_t ArraySeed = 1;
-  /// Check classical-IV subsumption (classifier superset of baseline).
-  bool CheckBaseline = true;
   /// Run the multi-branch summarizer (ivclass --summarize) in the analyzed
   /// build, so its phase-periodic claims are generated and checked.
   bool Summarize = false;
-  /// Per-value claims (closed form, wrap-around, periodic, monotonic) are
-  /// statements over mathematical integers, while execution wraps in
-  /// two's-complement int64.  When an observed sequence leaves this
-  /// magnitude bound the two semantics may legitimately diverge (e.g. a
-  /// geometric update doubling past 2^63), so those claims are skipped --
-  /// without counting toward CheckCounts.  Structural checks (behavior,
-  /// trip count, baseline) stay unguarded.
-  int64_t ClaimValueBound = int64_t(1) << 31;
-
   /// Test-only fault injection: skews every *linear* closed-form prediction
   /// by `Skew * h`, making correct classifications look wrong.  Exercises
   /// the mismatch reporting and minimization path end to end; must be 0 in

@@ -121,12 +121,6 @@ Var *Function::getOrCreateVar(std::string_view N) {
   return V;
 }
 
-Var *Function::findVar(std::string_view N) const {
-  Symbol Sym = SI.lookup(N);
-  return Sym != support::NoSymbol && Sym < VarBySym.size() ? VarBySym[Sym]
-                                                           : nullptr;
-}
-
 Array *Function::getOrCreateArray(std::string_view N, unsigned Rank) {
   Symbol Sym = SI.intern(N);
   ensureSymbolTables(Sym);

@@ -87,7 +87,6 @@ public:
 
   /// Creates (or returns the existing) scalar variable named \p N.
   Var *getOrCreateVar(std::string_view N);
-  Var *findVar(std::string_view N) const;
   const support::ArenaVector<Var *> &vars() const { return Vars; }
 
   /// Creates (or returns the existing) array named \p N of rank \p Rank.
@@ -134,12 +133,6 @@ public:
   /// O(1) -- no re-probing of already-taken spellings.  The returned view is
   /// interned (stable for the function's lifetime).
   std::string_view uniqueName(std::string_view Base);
-
-  /// Interns \p N and returns the stable spelling (for names that must
-  /// outlive a caller's temporary).
-  std::string_view internName(std::string_view N) {
-    return SI.internView(N);
-  }
 
 private:
   /// Grows the symbol-indexed side tables to cover \p Sym.

@@ -93,6 +93,10 @@ Classification &ClassTable::getOrCreate(const ir::Value *V, bool &Created) {
 
 namespace {
 
+/// Cap on the number of distinct (A, B) symbolic values tracked per node
+/// during SCR evaluation (paths through nested conditionals).
+constexpr size_t MaxSymbolicPaths = 64;
+
 /// A sorted set of SSA-graph node indices.
 using NodeSet = SmallVector<unsigned, 6>;
 
@@ -142,11 +146,11 @@ using PhiList = SmallVector<ir::Instruction *, 4>;
 class LoopClassifier {
 public:
   LoopClassifier(InductionAnalysis &IA, const analysis::Loop *L,
-                 ClassTable &Map, const InductionAnalysis::Options &Opts,
-                 unsigned &FamilyId, InductionAnalysis::Stats &S,
-                 std::span<unsigned> SeqToNode, support::Arena &Scratch)
+                 ClassTable &Map, unsigned &FamilyId,
+                 InductionAnalysis::Stats &S, std::span<unsigned> SeqToNode,
+                 support::Arena &Scratch)
       : IA(IA), L(L), G(*L, IA.loopInfo(), SeqToNode, Scratch), Map(Map),
-        Opts(Opts), NextFamilyId(FamilyId), S(S), Scratch(Scratch) {
+        NextFamilyId(FamilyId), S(S), Scratch(Scratch) {
     const size_t N = G.nodes().size();
     InSCR.resize(Scratch, N, 0);
     PathMemo = static_cast<MemoSlot *>(
@@ -711,7 +715,7 @@ private:
           addNodes(T->Through, Y.Through);
           addTerm(Out, std::move(*T));
         }
-      if (Out.size() > Opts.MaxSymbolicPaths)
+      if (Out.size() > MaxSymbolicPaths)
         return std::nullopt;
       return Out;
     };
@@ -730,7 +734,7 @@ private:
         for (LinTerm &T : *OpSet)
           addTerm(Out, std::move(T));
       }
-      if (OK && Out.size() <= Opts.MaxSymbolicPaths)
+      if (OK && Out.size() <= MaxSymbolicPaths)
         Result = std::move(Out);
       break;
     }
@@ -1253,7 +1257,6 @@ private:
   const analysis::Loop *L;
   SSAGraph G;
   ClassTable &Map;
-  const InductionAnalysis::Options &Opts;
   unsigned &NextFamilyId;
   InductionAnalysis::Stats &S;
   support::Arena &Scratch;
@@ -1318,7 +1321,7 @@ void InductionAnalysis::processLoop(const analysis::Loop *L,
     // Everything the classifier builds for this loop is rewound here, so
     // scratch stays proportional to one loop however many there are.
     support::ScratchScope Scratch;
-    LoopClassifier(*this, L, tableFor(L), Opts, NextFamilyId, S, SeqToNode,
+    LoopClassifier(*this, L, tableFor(L), NextFamilyId, S, SeqToNode,
                    Scratch.arena())
         .run();
   }

@@ -110,10 +110,6 @@ public:
     /// paper's "treated as unknown" fallback.
     bool MaterializeExitValues = true;
 
-    /// Cap on the number of distinct (A, B) symbolic values tracked per
-    /// node during SCR evaluation (paths through nested conditionals).
-    unsigned MaxSymbolicPaths = 64;
-
     /// Multi-branch loop summarization (Summarize.h): after the classifier
     /// punts on a loop, conjecture a period-k branch cycle by sampling the
     /// interpreter and prove exact per-phase closed forms.  Off by default

@@ -79,9 +79,6 @@ struct ServerOptions {
   /// kernel pick -- see tcpPort()).  Served alongside the unix socket,
   /// same protocol, same lifecycle.
   std::string TcpSpec;
-  /// Seconds a connection may dawdle delivering its request frame before
-  /// the read times out (guards the accept loop against stalled clients).
-  unsigned ReadTimeoutSec = 10;
   /// Test-only: runs on the worker just before each analyze request's
   /// pipeline, letting tests hold workers to fill the admission queue
   /// deterministically.  Never set in production paths.

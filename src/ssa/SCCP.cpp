@@ -279,24 +279,29 @@ SCCPResult SCCPSolver::run(bool SimplifyCFG) {
   }
 
   SCCPResult Result;
-  // Replace constant instructions.
-  support::ArenaVector<ir::Instruction *> Dead;
+  // Replace constant instructions: rewrite each one's users from the user
+  // index and drop it in one compaction per block, so folding is linear in
+  // the function however many values fold.
   for (ir::BasicBlock *BB : F.blocks()) {
     if (!Reachable[BB->id()])
       continue;
-    for (ir::Instruction *I : *BB) {
+    Result.FoldedInstructions += BB->removeInstrsIf([&](ir::Instruction *I) {
       if (I->hasSideEffects() || I->isTerminator())
-        continue;
+        return false;
       LatticeVal V = valueOf(I);
       if (!V.isConst())
-        continue;
-      F.replaceAllUsesWith(I, F.constant(V.Val));
-      Dead.push_back(S, I);
-      ++Result.FoldedInstructions;
-    }
+        return false;
+      ir::Constant *C = F.constant(V.Val);
+      for (uint32_t U = UserStart[I->seq()]; U < UserStart[I->seq() + 1];
+           ++U) {
+        ir::Instruction *User = UserList[U];
+        for (unsigned Idx = 0; Idx < User->numOperands(); ++Idx)
+          if (User->operand(Idx) == I)
+            User->setOperand(Idx, C);
+      }
+      return true;
+    });
   }
-  for (ir::Instruction *I : Dead)
-    I->parent()->erase(I);
 
   if (!SimplifyCFG)
     return Result;

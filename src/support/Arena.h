@@ -140,6 +140,7 @@ public:
   /// with the arena as spares that later growth reuses; trim() returns
   /// them to the heap.
   void rewind(const Mark &M) {
+    Peak = std::max(Peak, Allocated);
     while (Chunks != M.Chunk) {
       assert(Chunks && "mark is not from this arena");
       ChunkHeader *H = Chunks;
@@ -177,11 +178,17 @@ public:
     NChunks = 0;
     Reserved = 0;
     Allocated = 0;
+    Peak = 0;
     NextChunkBytes = MinChunkBytes;
   }
 
   /// Total bytes handed out to callers (not counting alignment padding).
   size_t bytesAllocated() const { return Allocated; }
+  /// The most bytesAllocated() has been since construction, reset() or
+  /// resetPeak().  Allocated only falls at a rewind, so the peak is taken
+  /// there and allocation itself does no bookkeeping.
+  size_t peakBytesAllocated() const { return std::max(Peak, Allocated); }
+  void resetPeak() { Peak = Allocated; }
   /// Total bytes acquired from the heap for chunks, spares included.
   size_t bytesReserved() const { return Reserved; }
   /// Number of chunks acquired from the heap, spares included.
@@ -258,6 +265,7 @@ private:
   size_t NChunks = 0;
   size_t Reserved = 0;
   size_t Allocated = 0;
+  size_t Peak = 0;
   size_t NextChunkBytes = MinChunkBytes;
 };
 

@@ -12,6 +12,7 @@
 #include "analysis/DominatorTree.h"
 #include "analysis/LoopInfo.h"
 #include "frontend/Lowering.h"
+#include "fuzz/Oracle.h"
 #include "interp/Interpreter.h"
 #include "ir/Printer.h"
 #include "ivclass/Pipeline.h"
@@ -152,11 +153,9 @@ inline void expectMonotoneTrace(const ivclass::Classification &C,
   ASSERT_GE(Seq.size(), 2u) << "need at least two observations";
   // Monotone claims hold over Z; once the machine run wraps int64 the
   // observed sequence no longer witnesses the mathematical one, so the
-  // claim is unfalsifiable by this execution.  Same bound and rationale
-  // as the fuzz oracle's ClaimValueBound.
-  constexpr int64_t ClaimValueBound = int64_t(1) << 31;
+  // claim is unfalsifiable by this execution (the fuzz oracle's bound).
   for (int64_t V : Seq)
-    if (V > ClaimValueBound || V < -ClaimValueBound)
+    if (V > fuzz::ClaimValueBound || V < -fuzz::ClaimValueBound)
       return;
   for (size_t K = 1; K < Seq.size(); ++K) {
     if (C.Dir == ivclass::MonotoneDir::Increasing) {

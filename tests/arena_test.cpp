@@ -123,6 +123,10 @@ TEST(ArenaTest, RewindFreesSinceTheMarkAndKeepsChunksForReuse) {
   A.rewind(M);
   EXPECT_EQ(A.bytesAllocated(), AllocatedAtMark);
   EXPECT_EQ(*Before, 1) << "rewind freed memory from before the mark";
+  // The high-water mark survives the rewind until it is reset.
+  EXPECT_EQ(A.peakBytesAllocated(), AllocatedAtMark + 64 * 1024);
+  A.resetPeak();
+  EXPECT_EQ(A.peakBytesAllocated(), AllocatedAtMark);
   // The chunks stay as spares: the same demand again takes no new chunk.
   EXPECT_EQ(A.numChunks(), Chunks);
   for (int I = 0; I < 64; ++I)

@@ -18,8 +18,6 @@ TEST(IRTest, VarsAndArraysByName) {
   Function F("f");
   Var *V = F.getOrCreateVar("x");
   EXPECT_EQ(F.getOrCreateVar("x"), V);
-  EXPECT_EQ(F.findVar("x"), V);
-  EXPECT_EQ(F.findVar("y"), nullptr);
   Array *A = F.getOrCreateArray("A", 2);
   EXPECT_EQ(A->rank(), 2u);
   EXPECT_EQ(F.getOrCreateArray("A", 2), A);

@@ -42,8 +42,9 @@ for FLAG in $FLAGS; do
 done
 
 # 2. Backtick-quoted repo paths.  Docs may name build-tree binaries
-# (`bench/bench_serve`, `tests/ivclass`); those count as long as the source
-# that produces them exists.
+# (`tools/bivc`, `tests/ivclass`); those count as long as the source that
+# produces them exists.  `bench/` stays among the roots although the
+# directory is gone, so a leftover mention of a path under it fails here.
 PATHS=$(grep -hoE '`[A-Za-z0-9_./-]+`' $DOCS 2>/dev/null | tr -d '\140' |
   grep -E '^(src|tools|tests|bench|docs)/' | sort -u)
 for P in $PATHS; do
